@@ -13,11 +13,12 @@ from .errors import (BlowUp, BudgetExceeded, ChainIdentityViolation,
                      DegenerateFit, GridMismatch, NoApplicableRegime,
                      NonPeriodicAntiderivative, OscpotError,
                      ResolutionViolation, SolvabilityViolation, UnsupportedK)
-from .potential import (AssumptionId, GammaMode, ScalarSeries, SpatialField,
-                        TrigField, classify_assumption, descriptor_from_field,
-                        field_from_descriptor, sample_oscillated)
-from .regimes import (RegimeFamily, RegimeSpec, iteration_depth,
-                      resolve_regime, theoretical_rate)
+from .potential import (GammaMode, ScalarSeries, SpatialField, TrigField,
+                        descriptor_from_field, field_from_descriptor,
+                        sample_oscillated)
+from .regimes import (AssumptionId, RegimeFamily, RegimeSpec,
+                      classify_assumption, iteration_depth, resolve_regime,
+                      theoretical_rate)
 from .correctors import (CorrectorSet, build_correctors, chi3_chain,
                          chi5_chain, effective_potential, identity_report,
                          solve_chi1, solve_chi2, solve_chi3, solve_chi7)

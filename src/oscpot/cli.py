@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -25,15 +26,15 @@ import numpy
 import scipy
 
 from . import __version__
-from .correctors import build_correctors, identity_report
+from .correctors import build_correctors, effective_potential, identity_report
 from .errors import (BlowUp, BudgetExceeded, DegenerateFit, NoApplicableRegime,
                      ResolutionViolation, UnsupportedK)
-from .potential import (GammaMode, ScalarSeries, SpatialField, TrigField,
-                        descriptor_from_field, field_from_descriptor)
-from .pdesolve import (GridSpec, InitialDescriptor, InitialTerm, ProblemSpec,
-                       SourceDescriptor, SourceTerm, check_resolution,
-                       error_linf_l2, policy_grid, solve_epsilon,
-                       solve_homogenized)
+from .potential import (GammaMode, TrigField, descriptor_from_field,
+                        field_from_descriptor)
+from .pdesolve import (MIN_CHECKPOINTS, GridSpec, InitialDescriptor,
+                       InitialTerm, ProblemSpec, SourceDescriptor, SourceTerm,
+                       check_resolution, checkpoint_distances, policy_grid,
+                       solve_pair)
 from .ratelab import (SweepConfig, ceff_as_json, default_workers, run_sweep,
                       write_outputs)
 from .regimes import resolve_regime
@@ -75,13 +76,34 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
             raise ConfigError(f"missing key '{where}.{key}'")
 
 
-def _number(block: dict, key: str, where: str, *, positive=False):
+def _number(block: dict, key: str, where: str, *, positive=False,
+            default: float | None = None):
+    if key not in block and default is not None:
+        return default
     val = block[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"'{where}.{key}' must be a number")
+    if not math.isfinite(val):
+        raise ConfigError(f"'{where}.{key}' must be finite, got {val}")
     if positive and not val > 0:
         raise ConfigError(f"'{where}.{key}' must be positive")
     return float(val)
+
+
+def _regime_k(block: dict) -> float:
+    k = _number(block, "k", "regime")
+    if k < 0:
+        raise ConfigError(f"'regime.k' must be >= 0, got {k:g}")
+    return k
+
+
+def _checkpoints(cfg: dict, default: int) -> int:
+    block = cfg.get("grid", {})
+    n = _number(block, "checkpoints", "grid", default=default)
+    if n != int(n) or n < MIN_CHECKPOINTS:
+        raise ConfigError(
+            f"'grid.checkpoints' must be an integer >= {MIN_CHECKPOINTS}")
+    return int(n)
 
 
 def load_config(path: str | Path) -> dict:
@@ -153,8 +175,7 @@ def parse_sign_override(block: dict) -> bool:
 
 def build_regime(cfg: dict, W: TrigField):
     block = cfg["regime"]
-    k = _number(block, "k", "regime")
-    return resolve_regime(k, parse_gamma_mode(block), W,
+    return resolve_regime(_regime_k(block), parse_gamma_mode(block), W,
                           sign_override=parse_sign_override(block))
 
 
@@ -172,8 +193,8 @@ def _parse_terms(raw, where: str, d: int, *, with_time: bool):
                 f"'{where}[{i}].j' must be a list of {d} integers >= 1")
         amp = _number(term, "amp", f"{where}[{i}]")
         if with_time:
-            sigma = float(term.get("sigma", 0.0))
-            omega = float(term.get("omega", 0.0))
+            sigma = _number(term, "sigma", f"{where}[{i}]", default=0.0)
+            omega = _number(term, "omega", f"{where}[{i}]", default=0.0)
             out.append(SourceTerm(amp, tuple(j), sigma, omega))
         else:
             out.append(InitialTerm(amp, tuple(j)))
@@ -198,17 +219,20 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
             for e in eps):
         raise ConfigError("'sweep.epsilons' must be a list of numbers")
     T, f, g = build_problem(cfg, W.d)
-    checkpoints = int(cfg.get("grid", {}).get("checkpoints", 64))
+    checkpoints = _checkpoints(cfg, SweepConfig.checkpoints)
     regime_block = cfg["regime"]
+    k = _regime_k(regime_block)
+    gamma_mode = parse_gamma_mode(regime_block)
+    sign_override = parse_sign_override(regime_block)
     try:
         return SweepConfig(
             W=W,
-            k=_number(regime_block, "k", "regime"),
-            gamma_mode=parse_gamma_mode(regime_block),
+            k=k,
+            gamma_mode=gamma_mode,
             f=f, g=g, T=T,
             epsilons=tuple(float(e) for e in eps),
             checkpoints=checkpoints,
-            sign_override=parse_sign_override(regime_block),
+            sign_override=sign_override,
             slope_tolerance=float(block.get("slope_tolerance", 0.3)),
             r2_min=float(block.get("r2_min", 0.95)),
             richardson_max=float(block.get("richardson_max", 0.1)),
@@ -225,16 +249,8 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _field_json(value):
-    if value is None:
-        return None
-    if isinstance(value, SpatialField):
-        value = value.as_field()
-    if isinstance(value, TrigField):
-        return descriptor_from_field(value)
-    if isinstance(value, ScalarSeries):
-        return ceff_as_json(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+def _field_json(value: TrigField | None):
+    return None if value is None else descriptor_from_field(value)
 
 
 def versions() -> dict:
@@ -329,20 +345,22 @@ def cmd_solve(cfg: dict, args) -> int:
     eps = float(eps)
     T, f, g = build_problem(cfg, W.d)
     grid_block = cfg.get("grid", {})
-    checkpoints = int(grid_block.get("checkpoints", 64))
+    checkpoints = _checkpoints(cfg, 64)
     base = policy_grid(eps, regime.k, regime.gamma, T, W.d, checkpoints)
-    grid = GridSpec(W.d,
-                    int(grid_block.get("nx", base.nx)),
-                    float(grid_block.get("dt", base.dt)),
-                    T, checkpoints)
+    try:
+        grid = GridSpec(W.d,
+                        int(grid_block.get("nx", base.nx)),
+                        float(grid_block.get("dt", base.dt)),
+                        T, checkpoints)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'grid': {exc}") from exc
     check_resolution(grid, eps, regime.k, regime.gamma)
-    from .correctors import effective_potential
     ceff = effective_potential(regime, W)
     problem = ProblemSpec(W=W, eps=eps, regime=regime, f=f, g=g)
-    u_eps = solve_epsilon(problem, grid)
-    u_hom = solve_homogenized(ceff, f, g, grid)
-    err = error_linf_l2(u_eps, u_hom)
+    err, u_eps, u_hom = solve_pair(problem, ceff, grid)
     out = _outdir(cfg, args)
+    grid_info = {"nx": grid.nx, "dt": grid.dt_effective, "T": grid.T,
+                 "checkpoints": grid.checkpoints}
     _write_json(out / "solve.json", {
         "eps": eps,
         "error_linf_l2": err,
@@ -350,17 +368,12 @@ def cmd_solve(cfg: dict, args) -> int:
         "max_l2_hom": u_hom.max_l2,
         "c_eff": ceff_as_json(ceff),
         "regime": regime.as_dict(),
-        "grid": {"nx": grid.nx, "dt": grid.dt_effective, "T": grid.T,
-                 "checkpoints": grid.checkpoints},
+        "grid": grid_info,
     })
-    norms_e = u_eps.l2_series()
-    norms_h = u_hom.l2_series()
     lines = ["t,l2_eps,l2_hom,l2_diff\n"]
-    h = grid.h
-    axis = tuple(range(1, u_eps.snapshots.ndim))
-    diffs = h ** (grid.d / 2.0) * numpy.sqrt(
-        numpy.sum((u_eps.snapshots - u_hom.snapshots) ** 2, axis=axis))
-    for t, ne, nh, nd in zip(u_eps.times, norms_e, norms_h, diffs):
+    for t, ne, nh, nd in zip(u_eps.times, u_eps.l2_series(),
+                             u_hom.l2_series(),
+                             checkpoint_distances(u_eps, u_hom)):
         lines.append(f"{float(t)!r},{float(ne)!r},{float(nh)!r},"
                      f"{float(nd)!r}\n")
     (out / "checkpoint_norms.csv").write_text("".join(lines))
@@ -368,8 +381,7 @@ def cmd_solve(cfg: dict, args) -> int:
         "regime": regime.as_dict(),
         "epsilon": eps,
         "problem": cfg["problem"],
-        "grid": {"nx": grid.nx, "dt": grid.dt_effective, "T": grid.T,
-                 "checkpoints": grid.checkpoints},
+        "grid": grid_info,
     }))
     print(f"error (max over checkpoints, L2): {err:.6e}")
     return EXIT_OK

@@ -44,7 +44,7 @@ def solve_chi1(W: TrigField) -> TrigField:
     """Space-time cell corrector: d_tau chi - Lap_y chi = W, zero mean."""
     zero = (0,) * W.d
     entries = []
-    for m, n, c in W.modes:
+    for m, n, c in W.terms:
         if m == zero and n == 0:
             raise SolvabilityViolation(
                 f"space-time cell problem needs a zero-mean right-hand side; "
@@ -59,7 +59,7 @@ def solve_chi2(W: TrigField) -> SpatialField:
     rhs = W.mean_tau()
     zero = (0,) * W.d
     entries = []
-    for m, c in rhs.modes:
+    for m, _, c in rhs.terms:
         if m == zero:
             raise SolvabilityViolation(
                 f"Poisson cell problem needs a zero-mean right-hand side; "
@@ -74,7 +74,7 @@ def solve_chi3(W: TrigField) -> TrigField:
     Always solvable: the right-hand side has zero y-mean by construction.
     """
     entries = []
-    for m, n, c in W.modes:
+    for m, n, c in W.terms:
         if any(m):
             entries.append(((m, n), -c / (TWO_PI ** 2 * sum(v * v for v in m))))
     return TrigField(W.d, entries, _skip_check=True)
@@ -96,7 +96,7 @@ def chi5_chain(W: TrigField) -> TimePrimitives:
     modes); otherwise the first primitive is not periodic.
     """
     chi5 = W.antiderivative_tau()
-    chi5_tilde = chi5 - chi5.mean_tau().as_field()
+    chi5_tilde = chi5 - chi5.mean_tau()
     chi4 = chi5_tilde.antiderivative_tau()
     return TimePrimitives(chi5=chi5, chi5_tilde=chi5_tilde, chi4=chi4)
 
@@ -110,12 +110,12 @@ def _strip_tau_mean(P: TrigField, where: str) -> TrigField:
     """
     resid = P.mean_tau()
     scale = max(1.0, P.coeff_mass)
-    worst = max((abs(c) for _, c in resid.modes), default=0.0)
+    worst = max((abs(c) for _, _, c in resid.terms), default=0.0)
     if worst > COEFF_TOL * scale:
         raise ChainIdentityViolation(
             f"{where}: tau-mean residual {worst:.3e} exceeds "
             f"{COEFF_TOL:.0e} * scale; next primitive would not be periodic")
-    return P - resid.as_field()
+    return P - resid
 
 
 def solve_chi7(W: TrigField) -> TrigField:
@@ -130,9 +130,10 @@ def solve_chi7(W: TrigField) -> TrigField:
     return P.antiderivative_tau()
 
 
-def chi3_chain(W: TrigField, depth: int) -> list[ScalarSeries]:
-    """Iterated primitives of W4 = mean_y(W): the stage-i corrector is the
-    primitive of (previous stage) * W4, starting from the primitive of W4.
+def chi3_chain(W: TrigField, depth: int) -> list[TrigField]:
+    """Iterated primitives of W4 = mean_y(W), functions of tau (d = 0):
+    the stage-i corrector is the primitive of (previous stage) * W4,
+    starting from the primitive of W4.
 
     Each stage is periodic because mean_tau(stage_i * W4) collapses to a
     power of mean(W4), which vanishes when M(W) = 0.  The vanishing is
@@ -144,20 +145,10 @@ def chi3_chain(W: TrigField, depth: int) -> list[ScalarSeries]:
     if abs(W4.coeff(0)) != 0.0:
         raise SolvabilityViolation(
             f"iterated time correctors need M(W) = 0, got {W4.coeff(0).real:.6g}")
-    out: list[ScalarSeries] = []
-    prev = W4.antiderivative()
-    out.append(prev)
+    out = [W4.antiderivative_tau()]
     for stage in range(2, depth + 1):
-        prod = prev * W4
-        resid = prod.coeff(0)
-        scale = max(1.0, prod.coeff_mass)
-        if abs(resid) > COEFF_TOL * scale:
-            raise ChainIdentityViolation(
-                f"chain stage {stage - 1}: mean residual {abs(resid):.3e} "
-                f"exceeds {COEFF_TOL:.0e} * scale")
-        prod = prod - ScalarSeries({0: resid}, _skip_check=True)
-        prev = prod.antiderivative()
-        out.append(prev)
+        prod = _strip_tau_mean(out[-1] * W4, f"chain stage {stage - 1}")
+        out.append(prod.antiderivative_tau())
     return out
 
 
@@ -188,9 +179,9 @@ def effective_potential(regime: RegimeSpec, W: TrigField) -> float | ScalarSerie
     """
     fam = regime.family
     if fam is RegimeFamily.CRITICAL:
-        value: float | ScalarSeries = -mean_product(solve_chi1(W), W)
+        value: float | TrigField = -mean_product(solve_chi1(W), W)
     elif fam is RegimeFamily.SUPERCRITICAL:
-        value = mean_product(solve_chi2(W).as_field(), W)
+        value = mean_product(solve_chi2(W), W)
     elif fam in (RegimeFamily.SUBCRITICAL, RegimeFamily.SLOW_TIME):
         value = mean_product(solve_chi3(W), W)
     elif fam is RegimeFamily.FROZEN_TIME:
@@ -202,6 +193,8 @@ def effective_potential(regime: RegimeSpec, W: TrigField) -> float | ScalarSerie
         raise ValueError(f"unknown regime family {fam!r}")
     if regime.sign_override:
         value = -1.0 * value
+    if isinstance(value, TrigField):
+        return ScalarSeries((n, c) for _, n, c in value.terms)
     return value
 
 
@@ -222,7 +215,7 @@ class CorrectorSet:
     chi3: TrigField | None = None
     primitives: TimePrimitives | None = None
     chi7: TrigField | None = None
-    chain: tuple[ScalarSeries, ...] = ()
+    chain: tuple[TrigField, ...] = ()
 
     def primary(self):
         name = self.regime.corrector
@@ -325,7 +318,7 @@ def identity_report(W: TrigField, regime: RegimeSpec,
     if zero_mean:
         chi1 = solve_chi1(W)
         add("chi1_energy", abs(grad_pair_mean(chi1, chi1) - mean_product(chi1, W)))
-        chi2 = solve_chi2(W).as_field()
+        chi2 = solve_chi2(W)
         add("chi2_energy", abs(grad_pair_mean(chi2, chi2) + mean_product(chi2, W)))
     else:
         skip("chi1_energy", "needs M(W) = 0")
@@ -345,7 +338,7 @@ def identity_report(W: TrigField, regime: RegimeSpec,
         resid_field = (chi7 * W).mean_tau()
         grid = [np.linspace(0.0, 1.0, 33, endpoint=False)] * W.d
         mesh = np.meshgrid(*grid, indexing="ij") if W.d > 1 else grid
-        vals = resid_field.as_field().evaluate(mesh if W.d > 1 else mesh[0], 0.0)
+        vals = resid_field.evaluate(mesh if W.d > 1 else mesh[0], 0.0)
         add("chi7_weighted_mean", float(np.max(np.abs(vals))) if np.size(vals) else 0.0)
     else:
         skip("chi4_energy", "needs mean_tau(W) = 0")

@@ -38,7 +38,7 @@ from scipy import fft as sp_fft
 
 from .correctors import effective_potential
 from .errors import BlowUp, GridMismatch, ResolutionViolation
-from .potential import ScalarSeries, TrigField
+from .potential import TrigField
 from .regimes import RegimeSpec
 
 BLOWUP_LIMIT = 1e12
@@ -53,6 +53,8 @@ DT_DIVISOR = 8
 #: eps^2/(4 pi^2); Crank-Nicolson tracks that factor only for
 #: dt * (2 pi / eps)^2 below ~1, hence this extra cap on policy grids.
 DIFFUSIVE_DT_DIVISOR = 64
+#: Fewest snapshot times a grid may have.
+MIN_CHECKPOINTS = 8
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,9 @@ class GridSpec:
             raise ValueError(f"spatial dimension must be 1 or 2, got {self.d}")
         if self.nx < 8:
             raise ValueError(f"nx must be >= 8, got {self.nx}")
-        if self.checkpoints < 8:
-            raise ValueError(
-                f"checkpoints must be >= 8, got {self.checkpoints}")
+        if self.checkpoints < MIN_CHECKPOINTS:
+            raise ValueError(f"checkpoints must be >= {MIN_CHECKPOINTS}, "
+                             f"got {self.checkpoints}")
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got {self.T}")
         if not self.dt > 0:
@@ -316,7 +318,7 @@ class _OscillatedReaction:
         ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
               .astype(float) for x in axes]
         self.spatial: list[tuple[int, np.ndarray]] = []
-        for m, n, c in W.modes:
+        for m, n, c in W.terms:
             phase = np.zeros(grid.shape)
             for axis, mj in enumerate(m):
                 if mj:
@@ -349,9 +351,9 @@ class _HomogenizedReaction:
     """Multiplier exp(-int_[ta,tb] c_eff(s) ds); c_eff constant or a
     1-periodic series in t (frozen-time regime)."""
 
-    def __init__(self, ceff: float | ScalarSeries):
+    def __init__(self, ceff: float | TrigField):
         self.ceff = ceff
-        self.constant = None if isinstance(ceff, ScalarSeries) else float(ceff)
+        self.constant = None if isinstance(ceff, TrigField) else float(ceff)
 
     def factor(self, ta: float, tb: float) -> float:
         a, b = float(ta), float(tb)
@@ -431,7 +433,7 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
                   label=f"eps={p.eps:g}")
 
 
-def solve_homogenized(ceff: float | ScalarSeries, f: SourceDescriptor,
+def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
                       g: InitialDescriptor, grid: GridSpec, *,
                       source_fn: Callable[[float], np.ndarray] | None = None
                       ) -> Trajectory:
@@ -447,8 +449,8 @@ def solve_homogenized(ceff: float | ScalarSeries, f: SourceDescriptor,
 # Comparison and refinement diagnostics
 # ---------------------------------------------------------------------------
 
-def error_linf_l2(a: Trajectory, b: Trajectory) -> float:
-    """max over checkpoints of the discrete L2 distance."""
+def checkpoint_distances(a: Trajectory, b: Trajectory) -> np.ndarray:
+    """Discrete L2 distance of two trajectories at every checkpoint."""
     if a.grid.d != b.grid.d or a.grid.nx != b.grid.nx:
         raise GridMismatch(
             f"grids differ: {a.grid.d}d nx={a.grid.nx} vs "
@@ -458,9 +460,34 @@ def error_linf_l2(a: Trajectory, b: Trajectory) -> float:
         raise GridMismatch("checkpoint times differ")
     h = a.grid.h
     axis = tuple(range(1, a.snapshots.ndim))
-    dists = h ** (a.grid.d / 2.0) * np.sqrt(
+    # One expression, so that numpy squares the difference in place.
+    return h ** (a.grid.d / 2.0) * np.sqrt(
         np.sum((a.snapshots - b.snapshots) ** 2, axis=axis))
-    return float(np.max(dists))
+
+
+def error_linf_l2(a: Trajectory, b: Trajectory) -> float:
+    """max over checkpoints of the discrete L2 distance."""
+    return float(np.max(checkpoint_distances(a, b)))
+
+
+def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
+               enforce_policy: bool = True
+               ) -> tuple[float, Trajectory, Trajectory]:
+    """Solve the eps-problem and its homogenized limit on one grid.
+
+    Returns their error_linf_l2 distance and both trajectories.
+    """
+    u_eps = solve_epsilon(p, grid, enforce_policy=enforce_policy)
+    u_hom = solve_homogenized(ceff, p.f, p.g, grid)
+    return error_linf_l2(u_eps, u_hom), u_eps, u_hom
+
+
+def refinement_residual(e_coarse: float, e_fine: float) -> float:
+    """Relative change of the error from a grid to its refinement."""
+    top = max(e_coarse, e_fine)
+    if top <= 1e-12:
+        return 0.0
+    return abs(e_coarse - e_fine) / top
 
 
 def richardson_check(p: ProblemSpec, grid: GridSpec, *,
@@ -469,16 +496,12 @@ def richardson_check(p: ProblemSpec, grid: GridSpec, *,
     refinement (dt/2, nx -> 2nx+1).
 
     Small values certify that the measured error is a property of the
-    problem, not the discretization; sweeps require <= 0.1.
+    problem, not the discretization; sweeps require <= 0.1.  A sweep
+    point, which has already solved the coarse pair, calls solve_pair on
+    the refined grid and refinement_residual instead.
     """
     ceff = effective_potential(p.regime, p.W)
-    errors = []
-    for g in (grid, grid.refined()):
-        ue = solve_epsilon(p, g, enforce_policy=enforce_policy)
-        uh = solve_homogenized(ceff, p.f, p.g, g)
-        errors.append(error_linf_l2(ue, uh))
-    e_coarse, e_fine = errors
-    top = max(e_coarse, e_fine)
-    if top <= 1e-12:
-        return 0.0
-    return abs(e_coarse - e_fine) / top
+    e_coarse, e_fine = (
+        solve_pair(p, ceff, g, enforce_policy=enforce_policy)[0]
+        for g in (grid, grid.refined()))
+    return refinement_residual(e_coarse, e_fine)

@@ -11,17 +11,19 @@ package (averages, antiderivatives in tau, spatial derivatives, products)
 acts exactly on the coefficients, so corrector computations downstream
 carry no discretization error.
 
-Three value types cover the shapes that occur:
+TrigField is the one coefficient type.  A function of y only is a field
+whose modes all have n = 0 (tau-averages, spatial correctors); a function
+of tau only is a field with d = 0, whose modes have an empty m
+(y-averages, iterated correctors).  SpatialField and ScalarSeries are
+views of those two shapes that keep their historical constructors and
+(m, c) / (n, c) mode tuples; they add no algebra of their own.
 
-* TrigField    -- function of (y, tau), the general case;
-* SpatialField -- function of y only (tau-averages, spatial correctors);
-* ScalarSeries -- function of tau only (y-averages, iterated correctors).
-
-All three are immutable; arithmetic returns new objects.
+Fields are immutable; arithmetic returns new objects.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NoApplicableRegime, NonPeriodicAntiderivative
+from .errors import NonPeriodicAntiderivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,16 +49,11 @@ def _neg(key: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
     return tuple(-v for v in m), -n
 
 
-def _merge(entries: Iterable[tuple[tuple[tuple[int, ...], int], complex]],
-           drop_below: float = 0.0) -> dict:
+def _merge(entries: Iterable[tuple[tuple[tuple[int, ...], int], complex]]) -> dict:
     out: dict = {}
     for key, c in entries:
         out[key] = out.get(key, 0.0 + 0.0j) + complex(c)
-    if drop_below > 0.0:
-        out = {k: c for k, c in out.items() if abs(c) > drop_below}
-    else:
-        out = {k: c for k, c in out.items() if c != 0}
-    return out
+    return {k: c for k, c in out.items() if c != 0}
 
 
 def _check_hermitian(modes: Mapping[tuple[tuple[int, ...], int], complex]) -> None:
@@ -70,12 +67,37 @@ def _check_hermitian(modes: Mapping[tuple[tuple[int, ...], int], complex]) -> No
                 f"matching conjugate partner")
 
 
+def _fill(field: "TrigField", d: int, entries, check: bool) -> "TrigField":
+    """Merge ((m, n), c) entries into `field`, sorted by (m, n)."""
+    merged = _merge(entries)
+    if check:
+        _check_hermitian(merged)
+    object.__setattr__(field, "d", int(d))
+    object.__setattr__(field, "terms",
+                       tuple(sorted((k[0], k[1], c) for k, c in merged.items())))
+    return field
+
+
+def _build(d: int, entries, check: bool = False) -> "TrigField":
+    """TrigField from trusted ((m, n), c) entries with integer keys.
+
+    This is how the algebra makes its results, d = 0 included; the public
+    constructor parses and validates user input instead.
+    """
+    return _fill(object.__new__(TrigField), d, entries, check)
+
+
 @dataclass(frozen=True)
 class TrigField:
-    """Real trigonometric polynomial in (y, tau); immutable."""
+    """Real trigonometric polynomial in (y, tau); immutable.
+
+    `terms` (also `modes`) holds the sorted (m, n, c) triples.  The public
+    constructor needs d >= 1; fields with d = 0 come from mean_y(), from
+    products and primitives of such fields, and from ScalarSeries.
+    """
 
     d: int
-    modes: tuple[tuple[tuple[int, ...], int, complex], ...]
+    terms: tuple[tuple[tuple[int, ...], int, complex], ...]
 
     def __init__(self, d: int,
                  coeffs: Mapping | Iterable | None = None,
@@ -95,12 +117,11 @@ class TrigField:
                     raise ValueError(
                         f"mode {key[0]} has dimension {len(key[0])}, expected {d}")
                 items.append((key, complex(c)))
-        merged = _merge(items)
-        if not _skip_check:
-            _check_hermitian(merged)
-        ordered = tuple(sorted((k[0], k[1], c) for k, c in merged.items()))
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "modes", ordered)
+        _fill(self, d, items, check=not _skip_check)
+
+    @property
+    def modes(self) -> tuple[tuple[tuple[int, ...], int, complex], ...]:
+        return self.terms
 
     # -- constructors ---------------------------------------------------
 
@@ -126,26 +147,37 @@ class TrigField:
         half = complex(0.0, -0.5 * amp)
         return TrigField(d, [(key, half), (_neg(key), half.conjugate())])
 
+    def as_field(self, d: int | None = None) -> "TrigField":
+        """This function as a plain TrigField on the d-torus (default: its
+        own d).  A function of tau alone (d = 0) lifts to any d."""
+        d = self.d if d is None else d
+        if d != self.d and self.d != 0:
+            raise ValueError(f"cannot lift a field of dimension {self.d} to {d}")
+        pad = (0,) * (d - self.d)
+        return _build(d, [((m + pad, n), c) for m, n, c in self.terms])
+
     # -- bookkeeping ----------------------------------------------------
 
     def coeff_map(self) -> dict:
-        return {(m, n): c for m, n, c in self.modes}
+        return {(m, n): c for m, n, c in self.terms}
 
-    def coeff(self, m: Sequence[int], n: int) -> complex:
-        return self.coeff_map().get(_as_mode_key(m, n), 0.0 + 0.0j)
+    def coeff(self, m, n: int = 0) -> complex:
+        """Coefficient of mode (m, n); for d = 0 the one argument is n."""
+        key = ((), int(m)) if self.d == 0 else _as_mode_key(m, n)
+        return self.coeff_map().get(key, 0.0 + 0.0j)
 
     @property
     def coeff_mass(self) -> float:
         """Sum of coefficient magnitudes; scale for round-off tolerances."""
-        return sum(abs(c) for _, _, c in self.modes)
+        return sum(abs(c) for _, _, c in self.terms)
 
     def is_zero(self) -> bool:
-        return not self.modes
+        return not self.terms
 
     def trimmed(self, tol: float) -> "TrigField":
         """Drop modes with |coefficient| <= tol (absolute)."""
-        kept = [((m, n), c) for m, n, c in self.modes if abs(c) > tol]
-        return TrigField(self.d, kept, _skip_check=True)
+        return _build(self.d, [((m, n), c) for m, n, c in self.terms
+                               if abs(c) > tol])
 
     # -- algebra --------------------------------------------------------
 
@@ -154,9 +186,9 @@ class TrigField:
             return NotImplemented
         if other.d != self.d:
             raise ValueError("dimension mismatch in field addition")
-        entries = [((m, n), c) for m, n, c in self.modes]
-        entries += [((m, n), c) for m, n, c in other.modes]
-        return TrigField(self.d, entries, _skip_check=True)
+        entries = [((m, n), c) for m, n, c in self.terms]
+        entries += [((m, n), c) for m, n, c in other.terms]
+        return _build(self.d, entries)
 
     def __sub__(self, other: "TrigField") -> "TrigField":
         return self + (-1.0) * other
@@ -166,8 +198,7 @@ class TrigField:
 
     def __rmul__(self, scalar: float) -> "TrigField":
         if isinstance(scalar, (int, float)):
-            entries = [((m, n), scalar * c) for m, n, c in self.modes]
-            return TrigField(self.d, entries, _skip_check=True)
+            return _build(self.d, [((m, n), scalar * c) for m, n, c in self.terms])
         return NotImplemented
 
     def __mul__(self, other) -> "TrigField":
@@ -177,8 +208,8 @@ class TrigField:
             if other.d != self.d:
                 raise ValueError("dimension mismatch in field product")
             entries = []
-            for m1, n1, c1 in self.modes:
-                for m2, n2, c2 in other.modes:
+            for m1, n1, c1 in self.terms:
+                for m2, n2, c2 in other.terms:
                     key = (tuple(a + b for a, b in zip(m1, m2)), n1 + n2)
                     entries.append((key, c1 * c2))
             merged = _merge(entries)
@@ -190,15 +221,19 @@ class TrigField:
                 value = 0.5 * (merged.get(key, 0j)
                                + merged.get(_neg(key), 0j).conjugate())
                 sym.append((key, value))
-            return TrigField(self.d, sym, _skip_check=True)
+            return _build(self.d, sym)
         return NotImplemented
 
     # -- evaluation -----------------------------------------------------
 
-    def evaluate(self, y, tau):
+    def evaluate(self, y, tau=0.0):
         """Evaluate at y (scalar for d=1, length-d sequence, or arrays)
-        and tau (scalar or array); broadcasting follows numpy rules."""
-        if self.d == 1 and not (isinstance(y, (list, tuple)) and len(y) == 1):
+        and tau (scalar or array, default 0, so a function of y alone
+        takes y only); for d = 0 the one argument is tau.  Broadcasting
+        follows numpy rules."""
+        if self.d == 0:
+            ys, tau = (), y
+        elif self.d == 1 and not (isinstance(y, (list, tuple)) and len(y) == 1):
             ys = (np.asarray(y, dtype=float),)
         else:
             if len(y) != self.d:
@@ -206,7 +241,7 @@ class TrigField:
             ys = tuple(np.asarray(v, dtype=float) for v in y)
         tau = np.asarray(tau, dtype=float)
         total = np.zeros(np.broadcast(*ys, tau).shape, dtype=complex)
-        for m, n, c in self.modes:
+        for m, n, c in self.terms:
             phase = n * tau
             for mj, yj in zip(m, ys):
                 if mj:
@@ -216,21 +251,37 @@ class TrigField:
         real = np.real(total)
         return float(real) if real.ndim == 0 else real
 
+    def definite_integral(self, a: float, b: float) -> float:
+        """Integral over the real interval [a, b] (not reduced mod 1) of a
+        function of tau alone (d = 0)."""
+        if self.d != 0:
+            raise ValueError("definite_integral needs a function of tau (d = 0)")
+        total = 0.0 + 0.0j
+        for _, n, c in self.terms:
+            if n == 0:
+                total += c * (b - a)
+            else:
+                two_pi_in = 2j * math.pi * n
+                total += c * (np.exp(two_pi_in * b) - np.exp(two_pi_in * a)) / two_pi_in
+        return float(total.real)
+
     # -- averages -------------------------------------------------------
 
     def mean_full(self) -> float:
         """Average over the full (y, tau) torus."""
-        c = self.coeff((0,) * self.d, 0)
+        c = self.coeff_map().get(((0,) * self.d, 0), 0.0 + 0.0j)
         return float(c.real)
 
-    def mean_y(self) -> "ScalarSeries":
-        """Average over y; a function of tau."""
+    def mean_y(self) -> "TrigField":
+        """Average over y; a function of tau (d = 0)."""
         zero = (0,) * self.d
-        return ScalarSeries({n: c for m, n, c in self.modes if m == zero})
+        return _build(0, [(((), n), c) for m, n, c in self.terms if m == zero],
+                      check=True)
 
-    def mean_tau(self) -> "SpatialField":
-        """Average over tau; a function of y."""
-        return SpatialField(self.d, {m: c for m, n, c in self.modes if n == 0})
+    def mean_tau(self) -> "TrigField":
+        """Average over tau; a function of y (every mode has n = 0)."""
+        return _build(self.d, [((m, 0), c) for m, n, c in self.terms if n == 0],
+                      check=True)
 
     # -- calculus -------------------------------------------------------
 
@@ -238,29 +289,29 @@ class TrigField:
         out = []
         for axis in range(self.d):
             entries = [((m, n), TWO_PI * 1j * m[axis] * c)
-                       for m, n, c in self.modes if m[axis]]
-            out.append(TrigField(self.d, entries, _skip_check=True))
+                       for m, n, c in self.terms if m[axis]]
+            out.append(_build(self.d, entries))
         return tuple(out)
 
     def laplacian_y(self) -> "TrigField":
         entries = [((m, n), -TWO_PI ** 2 * sum(v * v for v in m) * c)
-                   for m, n, c in self.modes if any(m)]
-        return TrigField(self.d, entries, _skip_check=True)
+                   for m, n, c in self.terms if any(m)]
+        return _build(self.d, entries)
 
     def antiderivative_tau(self) -> "TrigField":
         """Primitive in tau vanishing at tau = 0; periodic only when every
         constant-in-tau mode is absent."""
-        for m, n, c in self.modes:
+        for m, n, c in self.terms:
             if n == 0:
                 raise NonPeriodicAntiderivative(
                     f"mode m={m}, n=0 has nonzero tau-mean "
                     f"(|c| = {abs(c):.3e}); no periodic antiderivative")
         entries = []
-        for m, n, c in self.modes:
+        for m, n, c in self.terms:
             w = c / (TWO_PI * 1j * n)
             entries.append(((m, n), w))
             entries.append(((m, 0), -w))
-        return TrigField(self.d, entries, _skip_check=True)
+        return _build(self.d, entries)
 
 
 def _check_imag(total: np.ndarray, mass: float) -> None:
@@ -271,178 +322,48 @@ def _check_imag(total: np.ndarray, mass: float) -> None:
             f"are not Hermitian")
 
 
-@dataclass(frozen=True)
-class SpatialField:
-    """Real trigonometric polynomial in y only."""
+def _pairs(coeffs: Mapping | Iterable | None) -> Iterable:
+    return coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
 
-    d: int
-    modes: tuple[tuple[tuple[int, ...], complex], ...]
+
+class SpatialField(TrigField):
+    """A function of y only, built from and read as (m, c) pairs."""
 
     def __init__(self, d: int, coeffs: Mapping | Iterable | None = None,
                  *, _skip_check: bool = False):
-        items = []
-        if coeffs:
-            pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-            for m, c in pairs:
-                key = _as_mode_key(m, 0)[0]
-                if len(key) != d:
-                    raise ValueError(
-                        f"mode {key} has dimension {len(key)}, expected {d}")
-                items.append(((key, 0), complex(c)))
-        merged = _merge(items)
-        if not _skip_check:
-            _check_hermitian(merged)
-        ordered = tuple(sorted((k[0], c) for k, c in merged.items()))
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "modes", ordered)
+        super().__init__(d, [((m, 0), c) for m, c in _pairs(coeffs)],
+                         _skip_check=_skip_check)
 
-    def as_field(self) -> TrigField:
-        return TrigField(self.d, [((m, 0), c) for m, c in self.modes],
-                         _skip_check=True)
-
-    def coeff(self, m: Sequence[int]) -> complex:
-        key = _as_mode_key(m, 0)[0]
-        for mm, c in self.modes:
-            if mm == key:
-                return c
-        return 0.0 + 0.0j
-
-    def is_zero(self) -> bool:
-        return not self.modes
+    @property
+    def modes(self) -> tuple[tuple[tuple[int, ...], complex], ...]:
+        return tuple((m, c) for m, _, c in self.terms)
 
     def mean(self) -> float:
-        return float(self.coeff((0,) * self.d).real)
-
-    def evaluate(self, y):
-        return self.as_field().evaluate(y, 0.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return SpatialField(
-                self.d, [(m, other * c) for m, c in self.modes], _skip_check=True)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return self.mean_full()
 
 
-@dataclass(frozen=True)
-class ScalarSeries:
-    """Real trigonometric series in tau only."""
-
-    modes: tuple[tuple[int, complex], ...]
+class ScalarSeries(TrigField):
+    """A function of tau only (d = 0), built from and read as (n, c) pairs."""
 
     def __init__(self, coeffs: Mapping | Iterable | None = None,
                  *, _skip_check: bool = False):
-        items = []
-        if coeffs:
-            pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-            for n, c in pairs:
-                items.append((((), int(n)), complex(c)))
-        merged = _merge(items)
-        if not _skip_check:
-            _check_hermitian(merged)
-        ordered = tuple(sorted((k[1], c) for k, c in merged.items()))
-        object.__setattr__(self, "modes", ordered)
+        _fill(self, 0, [(((), int(n)), c) for n, c in _pairs(coeffs)],
+              check=not _skip_check)
 
     @staticmethod
     def constant(value: float) -> "ScalarSeries":
         return ScalarSeries({0: complex(value)})
 
-    def as_field(self, d: int) -> TrigField:
-        zero = (0,) * d
-        return TrigField(d, [((zero, n), c) for n, c in self.modes],
-                         _skip_check=True)
-
-    def coeff(self, n: int) -> complex:
-        for nn, c in self.modes:
-            if nn == n:
-                return c
-        return 0.0 + 0.0j
-
-    def is_zero(self) -> bool:
-        return not self.modes
-
     @property
-    def coeff_mass(self) -> float:
-        return sum(abs(c) for _, c in self.modes)
+    def modes(self) -> tuple[tuple[int, complex], ...]:
+        return tuple((n, c) for _, n, c in self.terms)
 
     def mean(self) -> float:
-        return float(self.coeff(0).real)
+        return self.mean_full()
 
-    def evaluate(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        total = np.zeros(tau.shape, dtype=complex)
-        mass = 0.0
-        for n, c in self.modes:
-            total = total + c * np.exp(2j * math.pi * n * tau)
-            mass += abs(c)
-        _check_imag(total, mass)
-        real = np.real(total)
-        return float(real) if real.ndim == 0 else real
-
-    def antiderivative(self) -> "ScalarSeries":
+    def antiderivative(self) -> TrigField:
         """Primitive vanishing at tau = 0; requires zero mean."""
-        c0 = self.coeff(0)
-        if c0 != 0:
-            raise NonPeriodicAntiderivative(
-                f"series has nonzero mean {c0.real:.3e}; "
-                f"no periodic antiderivative")
-        entries = []
-        for n, c in self.modes:
-            w = c / (TWO_PI * 1j * n)
-            entries.append((n, w))
-            entries.append((0, -w))
-        return ScalarSeries(entries, _skip_check=True)
-
-    def definite_integral(self, a: float, b: float) -> float:
-        """Integral over the real interval [a, b] (not reduced mod 1)."""
-        total = 0.0 + 0.0j
-        for n, c in self.modes:
-            if n == 0:
-                total += c * (b - a)
-            else:
-                two_pi_in = 2j * math.pi * n
-                total += c * (np.exp(two_pi_in * b) - np.exp(two_pi_in * a)) / two_pi_in
-        return float(total.real)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return ScalarSeries([(n, other * c) for n, c in self.modes],
-                                _skip_check=True)
-        if isinstance(other, ScalarSeries):
-            entries = []
-            for n1, c1 in self.modes:
-                for n2, c2 in other.modes:
-                    entries.append((n1 + n2, c1 * c2))
-            return ScalarSeries(entries, _skip_check=True)
-        return NotImplemented
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
-
-    def __add__(self, other):
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        return ScalarSeries(list(self.modes) + list(other.modes),
-                            _skip_check=True)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-
-# ---------------------------------------------------------------------------
-# Admissibility classification
-# ---------------------------------------------------------------------------
-
-class AssumptionId(Enum):
-    """Admissibility class of (W, k, gamma); numbering follows the
-    parameter map k > 2 strong / 1 < k < 2 / k = 2 / k > 2 weak / k <= 1."""
-
-    STRONG_FAST_TIME = 1   # gamma = k - 1, 2 < k <= 3, tau-mean of W vanishes
-    SUBCRITICAL = 2        # gamma = 1, 1 < k < 2, full mean vanishes
-    CRITICAL = 3           # gamma = 1, k = 2, full mean vanishes
-    SUPERCRITICAL = 4      # gamma = 1, k > 2, full mean vanishes
-    SLOW_TIME = 5          # gamma = 1, 0 <= k <= 1, y-mean of W vanishes
+        return self.antiderivative_tau()
 
 
 class GammaMode(Enum):
@@ -450,41 +371,6 @@ class GammaMode(Enum):
 
     UNIT = "unit"            # gamma = 1
     K_MINUS_1 = "k_minus_1"  # gamma = k - 1
-
-
-def classify_assumption(W: TrigField, k: float, gamma_mode: GammaMode) -> AssumptionId:
-    """Decide which admissibility class (W, k, gamma) falls into.
-
-    Raises NoApplicableRegime naming the first violated condition.
-    """
-    if k < 0:
-        raise ValueError(f"time exponent k must be >= 0, got {k}")
-    if gamma_mode is GammaMode.K_MINUS_1:
-        if not 2.0 < k <= 3.0:
-            raise NoApplicableRegime(
-                f"gamma = k - 1 requires 2 < k <= 3, got k = {k}")
-        if not W.mean_tau().is_zero():
-            raise NoApplicableRegime(
-                "gamma = k - 1 requires the tau-mean of W to vanish for "
-                "every y (no n = 0 modes)")
-        return AssumptionId.STRONG_FAST_TIME
-    if gamma_mode is not GammaMode.UNIT:
-        raise ValueError(f"unknown gamma mode {gamma_mode!r}")
-    if k <= 1.0:
-        if not W.mean_y().is_zero():
-            raise NoApplicableRegime(
-                "k <= 1 requires the y-mean of W to vanish for every tau "
-                "(no m = 0 modes)")
-        return AssumptionId.SLOW_TIME
-    if abs(W.mean_full()) > 0.0:
-        raise NoApplicableRegime(
-            f"k > 1 with gamma = 1 requires the full space-time mean of W "
-            f"to vanish, got {W.mean_full():.6g}")
-    if k < 2.0:
-        return AssumptionId.SUBCRITICAL
-    if k == 2.0:
-        return AssumptionId.CRITICAL
-    return AssumptionId.SUPERCRITICAL
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +445,8 @@ def field_from_descriptor(entries: Sequence[Mapping], d: int | None = None) -> T
             raise ValueError(
                 f"mode entry {i}: dimension {len(key[0])} conflicts with {dim}")
         c = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        if not cmath.isfinite(c):
+            raise ValueError(f"mode entry {i}: coefficient {c} is not finite")
         if key in seen:
             if abs(seen[key] - c) > 1e-12 * max(1.0, abs(c)):
                 raise ValueError(
@@ -584,4 +472,4 @@ def field_from_descriptor(entries: Sequence[Mapping], d: int | None = None) -> T
 def descriptor_from_field(W: TrigField) -> list[dict]:
     """Inverse of field_from_descriptor (all modes listed explicitly)."""
     return [{"m": list(m), "n": n, "re": c.real, "im": c.imag}
-            for m, n, c in W.modes]
+            for m, n, c in W.terms]

@@ -26,8 +26,8 @@ from .correctors import effective_potential, identity_report
 from .errors import BudgetExceeded, DegenerateFit
 from .potential import GammaMode, ScalarSeries, TrigField
 from .pdesolve import (GridSpec, InitialDescriptor, ProblemSpec,
-                       SourceDescriptor, error_linf_l2, policy_grid,
-                       richardson_check, solve_epsilon, solve_homogenized)
+                       SourceDescriptor, policy_grid, refinement_residual,
+                       solve_pair)
 from .regimes import RegimeSpec, resolve_regime
 
 WORKERS_ENV = "OSCPOT_WORKERS"
@@ -151,10 +151,11 @@ class RateReport:
         }
 
 
-def ceff_as_json(value: float | ScalarSeries):
-    if isinstance(value, ScalarSeries):
+def ceff_as_json(value: float | TrigField):
+    """A constant as a number; a function of tau (d = 0) as its series."""
+    if isinstance(value, TrigField):
         return {"series": [{"n": n, "re": c.real, "im": c.imag}
-                           for n, c in value.modes]}
+                           for _, n, c in value.terms]}
     return float(value)
 
 
@@ -204,10 +205,13 @@ def _run_point(cfg: SweepConfig, regime: RegimeSpec,
     grid = policy_grid(eps, regime.k, regime.gamma, cfg.T, cfg.W.d,
                        cfg.checkpoints)
     problem = ProblemSpec(W=cfg.W, eps=eps, regime=regime, f=cfg.f, g=cfg.g)
-    u_eps = solve_epsilon(problem, grid)
-    u_hom = solve_homogenized(ceff, cfg.f, cfg.g, grid)
-    err = error_linf_l2(u_eps, u_hom)
-    rich = richardson_check(problem, grid) if cfg.run_richardson else None
+    err, u_eps, u_hom = solve_pair(problem, ceff, grid)
+    rich = None
+    if cfg.run_richardson:
+        # The coarse pair is the one just solved; only the refined grid
+        # is new (the same certificate as pdesolve.richardson_check).
+        rich = refinement_residual(
+            err, solve_pair(problem, ceff, grid.refined())[0])
     return SweepPoint(eps=eps, error=err, richardson=rich,
                       max_l2_eps=u_eps.max_l2, max_l2_hom=u_hom.max_l2,
                       nx=grid.nx, dt=grid.dt_effective,

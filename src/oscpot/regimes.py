@@ -10,8 +10,12 @@ which corrector produces the effective potential in the limit and at
 which rate in eps the solutions converge.  gamma is never free: it is
 either 1 or k - 1, and k - 1 is only meaningful for 2 < k <= 3.
 
-resolve_regime() is the single entry point that turns (k, gamma mode,
-potential) into a fully resolved RegimeSpec or rejects the combination.
+The whole map is one table, REGIMES, with a row per regime family: its
+admissibility class, gamma mode, window of k, admissibility condition on
+W, corrector and rate.  resolve_regime() is the single entry point that
+turns (k, gamma mode, potential) into a fully resolved RegimeSpec or
+rejects the combination; classify_assumption(), theoretical_rate() and
+RegimeSpec.corrector read the same table.
 """
 
 from __future__ import annotations
@@ -19,9 +23,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .errors import UnsupportedK
-from .potential import AssumptionId, GammaMode, TrigField, classify_assumption
+from .errors import NoApplicableRegime, UnsupportedK
+from .potential import GammaMode, TrigField
+
+#: Most iterated time correctors the subcritical chain may need.  The
+#: depth grows like 1/(k - 1) as k approaches 1, so this bounds the work
+#: of build_correctors; it admits k >= 64/63.
+MAX_CHAIN_DEPTH = 64
+
+
+class AssumptionId(Enum):
+    """Admissibility class of (W, k, gamma); numbering follows the
+    parameter map k > 2 strong / 1 < k < 2 / k = 2 / k > 2 weak / k <= 1."""
+
+    STRONG_FAST_TIME = 1   # gamma = k - 1, 2 < k <= 3, tau-mean of W vanishes
+    SUBCRITICAL = 2        # gamma = 1, 1 < k < 2, full mean vanishes
+    CRITICAL = 3           # gamma = 1, k = 2, full mean vanishes
+    SUPERCRITICAL = 4      # gamma = 1, k > 2, full mean vanishes
+    SLOW_TIME = 5          # gamma = 1, 0 <= k <= 1, y-mean of W vanishes
 
 
 class RegimeFamily(Enum):
@@ -35,15 +56,99 @@ class RegimeFamily(Enum):
     STRONG_FAST_TIME = "strong_fast_time"  # 2 < k <= 3, gamma = k - 1
 
 
-#: Corrector recipe used for the effective potential, per family.
-CORRECTOR_RECIPE = {
-    RegimeFamily.CRITICAL: "chi1",
-    RegimeFamily.SUPERCRITICAL: "chi2",
-    RegimeFamily.SUBCRITICAL: "chi3",
-    RegimeFamily.SLOW_TIME: "chi3",
-    RegimeFamily.FROZEN_TIME: "chi3",
-    RegimeFamily.STRONG_FAST_TIME: "chi4",
-}
+@dataclass(frozen=True)
+class RegimeRow:
+    """One family of the parameter map.  `rejection` may name the full
+    mean of W as {mean}."""
+
+    family: RegimeFamily
+    assumption: AssumptionId
+    gamma_mode: GammaMode
+    k_window: Callable[[float], bool]
+    admissible: Callable[[TrigField], bool]
+    rejection: str
+    corrector: str
+    rate: Callable[[float], float]
+
+
+def _zero_mean(W: TrigField) -> bool:
+    return W.mean_full() == 0.0
+
+
+def _y_mean_free(W: TrigField) -> bool:
+    return W.mean_y().is_zero()
+
+
+def _tau_mean_free(W: TrigField) -> bool:
+    return W.mean_tau().is_zero()
+
+
+_NEEDS_ZERO_MEAN = ("k > 1 with gamma = 1 requires the full space-time mean "
+                    "of W to vanish, got {mean:.6g}")
+_NEEDS_Y_MEAN_FREE = ("k <= 1 requires the y-mean of W to vanish for every "
+                      "tau (no m = 0 modes)")
+
+#: The parameter map; the first row whose gamma mode and k window match
+#: applies.  Proven rates p in ||u_eps - u_hom|| = O(eps^p).
+REGIMES = (
+    RegimeRow(RegimeFamily.STRONG_FAST_TIME, AssumptionId.STRONG_FAST_TIME,
+              GammaMode.K_MINUS_1, lambda k: 2.0 < k <= 3.0, _tau_mean_free,
+              "gamma = k - 1 requires the tau-mean of W to vanish for "
+              "every y (no n = 0 modes)",
+              "chi4", lambda k: k - 2.0),
+    RegimeRow(RegimeFamily.FROZEN_TIME, AssumptionId.SLOW_TIME,
+              GammaMode.UNIT, lambda k: k == 0.0, _y_mean_free,
+              _NEEDS_Y_MEAN_FREE, "chi3", lambda k: 1.0),
+    RegimeRow(RegimeFamily.SLOW_TIME, AssumptionId.SLOW_TIME,
+              GammaMode.UNIT, lambda k: 0.0 < k <= 1.0, _y_mean_free,
+              _NEEDS_Y_MEAN_FREE, "chi3", lambda k: k),
+    RegimeRow(RegimeFamily.SUBCRITICAL, AssumptionId.SUBCRITICAL,
+              GammaMode.UNIT, lambda k: 1.0 < k < 2.0, _zero_mean,
+              _NEEDS_ZERO_MEAN, "chi3", lambda k: min(2.0 - k, k - 1.0)),
+    RegimeRow(RegimeFamily.CRITICAL, AssumptionId.CRITICAL,
+              GammaMode.UNIT, lambda k: k == 2.0, _zero_mean,
+              _NEEDS_ZERO_MEAN, "chi1", lambda k: 1.0),
+    RegimeRow(RegimeFamily.SUPERCRITICAL, AssumptionId.SUPERCRITICAL,
+              GammaMode.UNIT, lambda k: k > 2.0, _zero_mean,
+              _NEEDS_ZERO_MEAN, "chi2", lambda k: min(k - 2.0, 1.0)),
+)
+
+_BY_FAMILY = {row.family: row for row in REGIMES}
+
+
+def _row_for(k: float, gamma_mode: GammaMode) -> RegimeRow | None:
+    """The table row for (k, gamma_mode), or None outside the map."""
+    if not isinstance(gamma_mode, GammaMode):
+        raise ValueError(f"unknown gamma mode {gamma_mode!r}")
+    if k < 0:
+        raise ValueError(f"time exponent k must be >= 0, got {k}")
+    return next((row for row in REGIMES
+                 if row.gamma_mode is gamma_mode and row.k_window(k)), None)
+
+
+def _admit(row: RegimeRow, W: TrigField) -> RegimeRow:
+    if not row.admissible(W):
+        raise NoApplicableRegime(row.rejection.format(mean=W.mean_full()))
+    return row
+
+
+def classify_assumption(W: TrigField, k: float, gamma_mode: GammaMode) -> AssumptionId:
+    """Decide which admissibility class (W, k, gamma) falls into.
+
+    Raises NoApplicableRegime naming the first violated condition.
+    """
+    row = _row_for(k, gamma_mode)
+    if row is None:
+        raise NoApplicableRegime(
+            f"gamma = k - 1 requires 2 < k <= 3, got k = {k}")
+    return _admit(row, W).assumption
+
+
+def theoretical_rate(k: float, family: RegimeFamily) -> float:
+    """Proven convergence exponent p in ||u_eps - u_hom|| = O(eps^p)."""
+    if family not in _BY_FAMILY:
+        raise ValueError(f"unknown regime family {family!r}")
+    return _BY_FAMILY[family].rate(k)
 
 
 @dataclass(frozen=True)
@@ -61,7 +166,7 @@ class RegimeSpec:
 
     @property
     def corrector(self) -> str:
-        return CORRECTOR_RECIPE[self.family]
+        return _BY_FAMILY[self.family].corrector
 
     @property
     def time_dependent_limit(self) -> bool:
@@ -81,49 +186,16 @@ class RegimeSpec:
         }
 
 
-def _family_for(k: float, gamma_mode: GammaMode) -> RegimeFamily:
-    if gamma_mode is GammaMode.K_MINUS_1:
-        return RegimeFamily.STRONG_FAST_TIME
-    if k == 0.0:
-        return RegimeFamily.FROZEN_TIME
-    if k <= 1.0:
-        return RegimeFamily.SLOW_TIME
-    if k < 2.0:
-        return RegimeFamily.SUBCRITICAL
-    if k == 2.0:
-        return RegimeFamily.CRITICAL
-    return RegimeFamily.SUPERCRITICAL
-
-
-def theoretical_rate(k: float, family: RegimeFamily) -> float:
-    """Proven convergence exponent p in ||u_eps - u_hom|| = O(eps^p)."""
-    if family is RegimeFamily.CRITICAL:
-        return 1.0
-    if family is RegimeFamily.SUPERCRITICAL:
-        return min(k - 2.0, 1.0)
-    if family is RegimeFamily.SUBCRITICAL:
-        return min(2.0 - k, k - 1.0)
-    if family is RegimeFamily.SLOW_TIME:
-        return k
-    if family is RegimeFamily.FROZEN_TIME:
-        return 1.0
-    if family is RegimeFamily.STRONG_FAST_TIME:
-        return k - 2.0
-    raise ValueError(f"unknown regime family {family!r}")
-
-
 def iteration_depth(k: float) -> int:
     """Smallest positive integer i with i*(k-1) >= k, for 1 < k < 2.
 
     This is how many iterated time-correctors the subcritical argument
-    needs before the residual drops below the target order.
+    needs before the residual drops below the target order.  The 1e-12
+    slack keeps round-off in k - 1 from adding a stage (k = 1.2 needs 6).
     """
     if not 1.0 < k < 2.0:
         raise ValueError(f"iteration depth is defined for 1 < k < 2, got {k}")
-    i = 1
-    while i * (k - 1.0) < k - 1e-12:
-        i += 1
-    return i
+    return math.ceil((k - 1e-12) / (k - 1.0))
 
 
 def resolve_regime(k: float, gamma_mode: GammaMode, W: TrigField,
@@ -131,30 +203,34 @@ def resolve_regime(k: float, gamma_mode: GammaMode, W: TrigField,
     """Classify (k, gamma_mode, W) and assemble the full regime record.
 
     Raises UnsupportedK when the (k, gamma) pairing itself is outside the
-    map, NoApplicableRegime when the pairing is fine but W violates the
-    admissibility condition.
+    map or needs a chain deeper than MAX_CHAIN_DEPTH, NoApplicableRegime
+    when the pairing is fine but W violates the admissibility condition.
     """
     if not isinstance(k, (int, float)) or math.isnan(k) or math.isinf(k):
         raise ValueError(f"k must be a finite number, got {k!r}")
     k = float(k)
-    if k < 0:
-        raise ValueError(f"time exponent k must be >= 0, got {k}")
-    if gamma_mode is GammaMode.K_MINUS_1 and not 2.0 < k <= 3.0:
+    row = _row_for(k, gamma_mode)
+    if row is None:
         # Outside 2 < k <= 3 no amplitude exponent of the form k - 1
         # produces a nontrivial limit, so the pairing itself is rejected.
         raise UnsupportedK(
             f"gamma = k - 1 is supported only for 2 < k <= 3, got k = {k}")
-    assumption = classify_assumption(W, k, gamma_mode)
-    family = _family_for(k, gamma_mode)
-    gamma = k - 1.0 if gamma_mode is GammaMode.K_MINUS_1 else 1.0
-    depth = iteration_depth(k) if family is RegimeFamily.SUBCRITICAL else None
+    _admit(row, W)
+    depth = None
+    if row.family is RegimeFamily.SUBCRITICAL:
+        depth = iteration_depth(k)
+        if depth > MAX_CHAIN_DEPTH:
+            raise UnsupportedK(
+                f"k = {k} needs {depth} iterated time correctors; at most "
+                f"{MAX_CHAIN_DEPTH} are supported (k >= "
+                f"{MAX_CHAIN_DEPTH / (MAX_CHAIN_DEPTH - 1):.6g})")
     return RegimeSpec(
         k=k,
-        gamma=gamma,
+        gamma=k - 1.0 if gamma_mode is GammaMode.K_MINUS_1 else 1.0,
         gamma_mode=gamma_mode,
-        assumption=assumption,
-        family=family,
-        rate=theoretical_rate(k, family),
+        assumption=row.assumption,
+        family=row.family,
+        rate=row.rate(k),
         chain_depth=depth,
         sign_override=sign_override,
     )

@@ -343,3 +343,78 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Bad values end in a documented exit code, never a traceback or a hang
+# ---------------------------------------------------------------------------
+
+def run_cli_subprocess(command: str, cfg: dict, tmp_path, timeout: float):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return subprocess.run(
+        [sys.executable, "-m", "oscpot.cli", command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=timeout)
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("command", ["verify", "correctors"])
+    def test_k_just_above_one_is_rejected_quickly(self, tmp_path, command):
+        # The subcritical chain depth grows like 1/(k - 1); this k would
+        # need about 1e9 iterated correctors.
+        cfg = base_config()
+        cfg["regime"]["k"] = 1.000000001
+        proc = run_cli_subprocess(command, cfg, tmp_path, timeout=60)
+        assert proc.returncode == cli.EXIT_REGIME, proc.stderr
+        assert "regime rejection" in proc.stderr
+        assert "iterated time correctors" in proc.stderr
+
+    def test_negative_k(self, write_cfg, tmp_path, capsys):
+        cfg = base_config()
+        cfg["regime"]["k"] = -1
+        assert run_cli("verify", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert "config error: 'regime.k' must be >= 0" in capsys.readouterr().err
+
+    def test_negative_k_in_sweep(self, write_cfg, tmp_path, capsys):
+        cfg = base_config(sweep=dict(SWEEP_BLOCK))
+        cfg["regime"]["k"] = -1
+        assert run_cli("sweep", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert "config error: 'regime.k'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_too_few_checkpoints(self, write_cfg, tmp_path, capsys, command):
+        cfg = base_config(epsilon=0.25, sweep=dict(SWEEP_BLOCK),
+                          grid={"checkpoints": 4})
+        assert run_cli(command, write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert "config error: 'grid.checkpoints'" in capsys.readouterr().err
+
+    def test_grid_nx_below_minimum(self, write_cfg, tmp_path, capsys):
+        cfg = base_config(epsilon=0.25, grid={"nx": 4, "checkpoints": 8})
+        assert run_cli("solve", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert "config error: 'grid'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["sigma", "omega"])
+    def test_source_rate_not_a_number(self, write_cfg, tmp_path, capsys, key):
+        cfg = base_config(epsilon=0.25, grid={"checkpoints": 8})
+        cfg["problem"]["f"] = [{"amp": 1.0, "j": [1], key: "abc"}]
+        assert run_cli("solve", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert f"'problem.f[0].{key}' must be a number" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_coefficient(self, tmp_path, capsys, value):
+        # json.dumps cannot write these; Python's parser accepts them.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config()).replace(
+            '"re": 0.5', f'"re": {value}', 1))
+        assert run_cli("verify", str(path), tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: 'potential.modes'" in err
+        assert "not finite" in err
+
+    def test_sweep_checkpoints_default_to_sweep_config(self):
+        cfg = base_config(sweep=dict(SWEEP_BLOCK))
+        W = cli.build_potential(cfg)
+        args = cli._parser().parse_args(["sweep", "--config", "unused"])
+        assert cli.build_sweep_config(cfg, W, args).checkpoints == 96

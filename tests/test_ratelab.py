@@ -324,3 +324,29 @@ class TestOutputs:
                         excluded=(0.1,))
         assert fit.as_dict() == {"slope": 1.0, "intercept": -2.0, "r2": 0.99,
                                  "n_used": 4, "excluded": [0.1]}
+
+
+def test_sweep_point_solves_each_grid_pair_once(monkeypatch):
+    # A point solves its policy pair and, for the certificate, the refined
+    # pair; it must not solve the policy pair a second time.
+    import oscpot.pdesolve as pdesolve
+    import oscpot.ratelab as ratelab
+    calls = []
+    real = pdesolve.solve_epsilon
+
+    def counting(p, grid, **kw):
+        calls.append(grid.nx)
+        return real(p, grid, **kw)
+
+    monkeypatch.setattr(pdesolve, "solve_epsilon", counting)
+    monkeypatch.setattr(ratelab, "solve_epsilon", counting, raising=False)
+    cfg = cheap_config(workers=1)
+    report = run_sweep(cfg)
+    assert len(calls) == 2 * len(cfg.epsilons)
+    # The reused coarse error gives the same certificate as a fresh check.
+    from oscpot.pdesolve import ProblemSpec, richardson_check
+    p0 = report.points[0]
+    problem = ProblemSpec(W=cfg.W, eps=p0.eps, regime=report.regime,
+                          f=cfg.f, g=cfg.g)
+    grid = policy_grid(p0.eps, 2.0, 1.0, cfg.T, 1, cfg.checkpoints)
+    assert p0.richardson == richardson_check(problem, grid)
