@@ -46,6 +46,9 @@ EXIT_IDENTITY = 3
 EXIT_RESOURCE = 4
 EXIT_VERDICT = 5
 
+#: Largest estimated memory `solve` may ask for (bytes).
+SOLVE_MEMORY_LIMIT = 4 * 2 ** 30
+
 
 class ConfigError(ValueError):
     """Malformed configuration; message names the offending key."""
@@ -224,6 +227,13 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
     k = _regime_k(regime_block)
     gamma_mode = parse_gamma_mode(regime_block)
     sign_override = parse_sign_override(regime_block)
+    richardson = block.get("richardson", SweepConfig.run_richardson)
+    if not isinstance(richardson, bool):
+        raise ConfigError(
+            f"'sweep.richardson' must be true or false, got {richardson!r}")
+    limits = {key: _number(block, key, "sweep",
+                           default=getattr(SweepConfig, key))
+              for key in ("slope_tolerance", "r2_min", "richardson_max")}
     try:
         return SweepConfig(
             W=W,
@@ -233,13 +243,11 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
             epsilons=tuple(float(e) for e in eps),
             checkpoints=checkpoints,
             sign_override=sign_override,
-            slope_tolerance=float(block.get("slope_tolerance", 0.3)),
-            r2_min=float(block.get("r2_min", 0.95)),
-            richardson_max=float(block.get("richardson_max", 0.1)),
-            run_richardson=bool(block.get("richardson", True)),
+            run_richardson=richardson,
             budget=args.budget if args.budget is not None else cfg.get("budget"),
             workers=args.workers if args.workers is not None
             else cfg.get("workers"),
+            **limits,
         )
     except ValueError as exc:
         raise ConfigError(f"'sweep': {exc}") from exc
@@ -354,6 +362,13 @@ def cmd_solve(cfg: dict, args) -> int:
                         T, checkpoints)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'grid': {exc}") from exc
+    # Two float64 snapshot arrays, plus one complex profile per W mode.
+    cells = grid.nx ** grid.d
+    need = 16 * (grid.checkpoints + 1) * cells + 16 * len(W.terms) * cells
+    if need > SOLVE_MEMORY_LIMIT:
+        raise BudgetExceeded(
+            f"solve needs about {need / 2 ** 30:.1f} GiB for nx = {grid.nx} "
+            f"in {grid.d}d, limit is {SOLVE_MEMORY_LIMIT / 2 ** 30:g} GiB")
     check_resolution(grid, eps, regime.k, regime.gamma)
     ceff = effective_potential(regime, W)
     problem = ProblemSpec(W=W, eps=eps, regime=regime, f=f, g=g)

@@ -60,4 +60,5 @@ class DegenerateFit(OscpotError):
 
 
 class BudgetExceeded(OscpotError):
-    """The estimated cost of a sweep exceeds the configured budget."""
+    """The estimated cost of a sweep exceeds the configured budget, or
+    the estimated memory of a solve exceeds its limit."""

@@ -6,16 +6,21 @@ Equations (potential sign per the package convention):
     eps-problem:   du/dt = Lap(u) + eps^(-gamma) W(x/eps, t/eps^k) u + f
     homogenized:   du/dt = Lap(u) - c_eff(t) u + f
 
-Scheme: Strang splitting.  Each step is reaction over half a step,
-Crank-Nicolson diffusion with trapezoidal source over a full step,
-reaction over the second half.  The reaction factor is exact: W is a
-trigonometric polynomial, so the in-time integral of the oscillated
-potential has a closed form per mode, and the half-step multiplier
-exp(eps^(-gamma) * integral) carries no quadrature error.  Diffusion uses
-the standard second-order finite-difference Laplacian; the CN solve is
-done exactly by diagonalizing that operator with the type-I sine
-transform, whose basis is the eigenbasis of the Dirichlet
+Scheme: Strang splitting, one march for both problems.  Each step is
+reaction over half a step, Crank-Nicolson diffusion with trapezoidal
+source over a full step, reaction over the second half.  The reaction
+factor is exact: W is a trigonometric polynomial, so the in-time integral
+of the oscillated potential has a closed form per mode, and the half-step
+multiplier exp(eps^(-gamma) * integral) carries no quadrature error.
+Diffusion uses the standard second-order finite-difference Laplacian; the
+CN solve is done exactly by diagonalizing that operator with the type-I
+sine transform, whose basis is the eigenbasis of the Dirichlet
 second-difference matrix.
+
+The homogenized problem runs the same scheme on orthonormal DST-I
+coefficients: c_eff does not depend on x, so its reaction factor is a
+scalar and the CN step a per-coefficient gain.  The transform keeps the
+discrete L2 norm, so the blow-up guard reads the same as in x.
 
 Resolution policy for the eps-problem: at least 16 grid points per eps
 (spatial oscillation) and dt no larger than min(eps^k, eps^(gamma+1))/8;
@@ -38,7 +43,7 @@ from scipy import fft as sp_fft
 
 from .correctors import effective_potential
 from .errors import BlowUp, GridMismatch, ResolutionViolation
-from .potential import TrigField
+from .potential import ScalarSeries, TrigField
 from .regimes import RegimeSpec
 
 BLOWUP_LIMIT = 1e12
@@ -121,6 +126,10 @@ class GridSpec:
         x = np.arange(1, self.nx + 1, dtype=float) * self.h
         return (x,) * self.d
 
+    def mesh(self) -> tuple[np.ndarray, ...]:
+        """The axes shaped to broadcast against each other (open mesh)."""
+        return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
+
     def cell_updates(self) -> int:
         """Cost measure: grid cells times time steps."""
         return self.nx ** self.d * self.total_steps
@@ -172,6 +181,9 @@ class SourceTerm:
     sigma: float = 0.0
     omega: float = 0.0
 
+    def amplitude(self, t: float) -> float:
+        return self.amp * math.exp(self.sigma * t) * math.cos(self.omega * t)
+
 
 @dataclass(frozen=True)
 class SourceDescriptor:
@@ -189,8 +201,7 @@ class SourceDescriptor:
         def f(t: float) -> np.ndarray:
             out = np.zeros(grid.shape)
             for term, shape in zip(self.terms, shapes):
-                out += term.amp * math.exp(term.sigma * t) \
-                    * math.cos(term.omega * t) * shape
+                out += term.amplitude(t) * shape
             return out
 
         return f
@@ -219,10 +230,9 @@ def _sine_profile(grid: GridSpec, j: Sequence[int]) -> np.ndarray:
     if len(j) != grid.d:
         raise ValueError(
             f"mode index {tuple(j)} has dimension {len(j)}, grid is {grid.d}d")
-    axes = grid.axes()
-    out = np.sin(j[0] * math.pi * axes[0])
-    if grid.d == 2:
-        out = np.outer(out, np.sin(j[1] * math.pi * axes[1]))
+    out = 1.0
+    for ji, x in zip(j, grid.mesh()):
+        out = out * np.sin(ji * math.pi * x)
     return out
 
 
@@ -269,11 +279,13 @@ def _l2(u: np.ndarray, grid: GridSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Diffusion: CN step diagonalized by the type-I sine transform
+# Strang pieces: CN diffusion diagonalized by the type-I sine transform,
+# and the exact reaction factor of the eps-problem
 # ---------------------------------------------------------------------------
 
 class _Diffusion:
-    def __init__(self, grid: GridSpec):
+    def __init__(self, grid: GridSpec,
+                 source_fn: Callable[[float], np.ndarray] | None = None):
         nx, h, dt = grid.nx, grid.h, grid.dt_effective
         j = np.arange(1, nx + 1)
         lam1 = -(4.0 / h ** 2) * np.sin(j * math.pi * h / 2.0) ** 2
@@ -282,21 +294,23 @@ class _Diffusion:
         self.gain = (1.0 + z) / (1.0 - z)
         self.solve_weight = 1.0 / (1.0 - z)
         self.half_dt = 0.5 * dt
+        self.source_fn = source_fn
 
-    def step(self, u: np.ndarray, f_a: np.ndarray | None,
-             f_b: np.ndarray | None) -> np.ndarray:
+    def step(self, u: np.ndarray, t_a, t_b) -> np.ndarray:
         uh = sp_fft.dstn(u, type=1)
-        if f_a is None:
+        if self.source_fn is None:
             uh = self.gain * uh
         else:
-            fh = sp_fft.dstn(self.half_dt * (f_a + f_b), type=1)
+            f_sum = self.source_fn(float(t_a)) + self.source_fn(float(t_b))
+            fh = sp_fft.dstn(self.half_dt * f_sum, type=1)
             uh = self.gain * uh + self.solve_weight * fh
         return sp_fft.idstn(uh, type=1)
 
 
-# ---------------------------------------------------------------------------
-# Reaction factors (exact per half-step)
-# ---------------------------------------------------------------------------
+def _ortho_dst(u: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I; it is its own inverse and keeps the L2 norm."""
+    return sp_fft.dstn(u, type=1, norm="ortho")
+
 
 class _OscillatedReaction:
     """Multiplier exp(eps^(-gamma) * int_[ta,tb] W(x/eps, s/eps^k) ds).
@@ -314,19 +328,12 @@ class _OscillatedReaction:
         self.eps_k_ld = eps_ld ** np.longdouble(k)
         self.eps_k = float(self.eps_k_ld)
         self.scale = float(eps_ld ** np.longdouble(-gamma))
-        axes = grid.axes()
         ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
-              .astype(float) for x in axes]
+              .astype(float) for x in grid.mesh()]
         self.spatial: list[tuple[int, np.ndarray]] = []
         for m, n, c in W.terms:
-            phase = np.zeros(grid.shape)
-            for axis, mj in enumerate(m):
-                if mj:
-                    if grid.d == 1:
-                        phase = phase + mj * ys[axis]
-                    else:
-                        yj = ys[axis][:, None] if axis == 0 else ys[axis][None, :]
-                        phase = phase + mj * yj
+            phase = sum((mj * y for mj, y in zip(m, ys) if mj),
+                        np.zeros(grid.shape))
             self.spatial.append((n, c * np.exp(2j * math.pi * phase)))
 
     def _tau(self, t_ld) -> float:
@@ -347,32 +354,15 @@ class _OscillatedReaction:
         return np.exp(self.scale * np.real(total))
 
 
-class _HomogenizedReaction:
-    """Multiplier exp(-int_[ta,tb] c_eff(s) ds); c_eff constant or a
-    1-periodic series in t (frozen-time regime)."""
-
-    def __init__(self, ceff: float | TrigField):
-        self.ceff = ceff
-        self.constant = None if isinstance(ceff, TrigField) else float(ceff)
-
-    def factor(self, ta: float, tb: float) -> float:
-        a, b = float(ta), float(tb)
-        if self.constant is not None:
-            return math.exp(-self.constant * (b - a))
-        return math.exp(-self.ceff.definite_integral(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def _march(grid: GridSpec, u0: np.ndarray, reaction, source_fn,
-           diffusion_on: bool, label: str) -> Trajectory:
-    dt = grid.dt_effective
-    dt_ld = np.longdouble(grid.interval) / grid.steps_per_interval
-    half_ld = dt_ld / 2
-    diffusion = _Diffusion(grid) if diffusion_on else None
-    u = u0.copy()
+def _march(grid: GridSpec, u0: np.ndarray, step: Callable,
+           label: str) -> Trajectory:
+    """Run step(u, t_a, t_m, t_b) (one Strang step, long double times) to T."""
+    half_ld = np.longdouble(grid.interval) / grid.steps_per_interval / 2
+    u = u0
     snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
     snaps[0] = u
     max_l2 = _l2(u, grid)
@@ -382,25 +372,12 @@ def _march(grid: GridSpec, u0: np.ndarray, reaction, source_fn,
             t_a = np.longdouble(2 * step_index) * half_ld
             t_m = np.longdouble(2 * step_index + 1) * half_ld
             t_b = np.longdouble(2 * step_index + 2) * half_ld
-            if reaction is not None:
-                u = u * reaction.factor(t_a, t_m)
-            if diffusion is not None:
-                if source_fn is None:
-                    u = diffusion.step(u, None, None)
-                else:
-                    u = diffusion.step(u, source_fn(float(t_a)),
-                                       source_fn(float(t_b)))
-            elif source_fn is not None:
-                # Pure-reaction mode still honours the source via the
-                # trapezoid rule so that test problems stay well-posed.
-                u = u + 0.5 * dt * (source_fn(float(t_a)) + source_fn(float(t_b)))
-            if reaction is not None:
-                u = u * reaction.factor(t_m, t_b)
+            u = step(u, t_a, t_m, t_b)
             step_index += 1
             nrm = _l2(u, grid)
             if not math.isfinite(nrm) or nrm > BLOWUP_LIMIT:
                 raise BlowUp(
-                    f"{label or 'solve'}: L2 norm {nrm:.3e} at "
+                    f"{label}: L2 norm {nrm:.3e} at "
                     f"t = {float(t_b):.6g} exceeds {BLOWUP_LIMIT:.0e}")
             max_l2 = max(max_l2, nrm)
         snaps[ci + 1] = u
@@ -416,9 +393,9 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
     """March the eps-problem to T on the given grid.
 
     disable_diffusion is a test hook: with it the scheme reduces to the
-    exact reaction factor alone.  source_fn overrides the declarative
-    source with an arbitrary array-valued function of time (used for
-    manufactured solutions).
+    exact reaction factor alone, and a source is rejected.  source_fn
+    overrides the declarative source with an arbitrary array-valued
+    function of time (used for manufactured solutions).
     """
     if p.d != grid.d:
         raise ValueError(
@@ -428,21 +405,43 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
     reaction = _OscillatedReaction(p.W, p.eps, p.regime.k, p.regime.gamma, grid)
     if source_fn is None:
         source_fn = p.f.compile(grid)
-    return _march(grid, p.g.build(grid), reaction, source_fn,
-                  diffusion_on=not disable_diffusion,
-                  label=f"eps={p.eps:g}")
+    if disable_diffusion and source_fn is not None:
+        raise ValueError("disable_diffusion does not take a source")
+    diffuse = ((lambda u, t_a, t_b: u) if disable_diffusion
+               else _Diffusion(grid, source_fn).step)
+
+    def step(u, t_a, t_m, t_b):
+        u = u * reaction.factor(t_a, t_m)
+        u = diffuse(u, t_a, t_b)
+        return u * reaction.factor(t_m, t_b)
+
+    return _march(grid, p.g.build(grid), step, label=f"eps={p.eps:g}")
 
 
 def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
-                      g: InitialDescriptor, grid: GridSpec, *,
-                      source_fn: Callable[[float], np.ndarray] | None = None
-                      ) -> Trajectory:
-    """March the homogenized problem du/dt - Lap u + c_eff u = f."""
-    reaction = _HomogenizedReaction(ceff)
-    if source_fn is None:
-        source_fn = f.compile(grid)
-    return _march(grid, g.build(grid), reaction, source_fn,
-                  diffusion_on=True, label="homogenized")
+                      g: InitialDescriptor, grid: GridSpec) -> Trajectory:
+    """March the homogenized problem du/dt - Lap u + c_eff u = f on sine
+    coefficients (see the module docstring); snapshot 0 is g itself."""
+    if not isinstance(ceff, TrigField):
+        ceff = ScalarSeries.constant(ceff)
+    cn = _Diffusion(grid)
+    sources = [(term, cn.solve_weight * cn.half_dt
+                * _ortho_dst(_sine_profile(grid, term.j)))
+               for term in f.terms]
+
+    def step(v, t_a, t_m, t_b):
+        a, m, b = float(t_a), float(t_m), float(t_b)
+        v = cn.gain * (math.exp(-ceff.definite_integral(a, m)) * v)
+        for term, s_hat in sources:
+            v = v + (term.amplitude(a) + term.amplitude(b)) * s_hat
+        return math.exp(-ceff.definite_integral(m, b)) * v
+
+    u0 = g.build(grid)
+    traj = _march(grid, _ortho_dst(u0), step, label="homogenized")
+    traj.snapshots[0] = u0
+    for i in range(1, grid.checkpoints + 1):
+        traj.snapshots[i] = _ortho_dst(traj.snapshots[i])
+    return traj
 
 
 # ---------------------------------------------------------------------------

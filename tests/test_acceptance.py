@@ -193,14 +193,17 @@ def _rate_verdict(num: str, report, lo: float, hi: float) -> None:
              f"(theoretical {report.theoretical:g})")
 
 
+@pytest.mark.slow
 def test_c04_critical_rate(critical_sweep):
     _rate_verdict("04", critical_sweep, 0.7, 1.3)
 
 
+@pytest.mark.slow
 def test_c05_subcritical_rate(subcritical_sweep):
     _rate_verdict("05", subcritical_sweep, 0.2, 0.8)
 
 
+@pytest.mark.slow
 def test_c06_slow_time_rates(slow_sweep, frozen_sweep):
     slow_ok = (slow_sweep.passed
                and 0.2 <= slow_sweep.fit.slope <= 0.8
@@ -218,14 +221,17 @@ def test_c06_slow_time_rates(slow_sweep, frozen_sweep):
              f"(R^2 {frozen_sweep.fit.r2:.4f}) with time-dependent c_eff")
 
 
+@pytest.mark.slow
 def test_c07_strong_fast_rate(strong_sweep):
     _rate_verdict("07", strong_sweep, 0.2, 0.8)
 
 
+@pytest.mark.slow
 def test_c08_supercritical_rate(supercritical_sweep):
     _rate_verdict("08", supercritical_sweep, 0.2, 0.8)
 
 
+@pytest.mark.slow
 def test_c09_negative_controls(tmp_path, capsys):
     flipped = _sweep(W_CRITICAL, 2.0, GammaMode.UNIT, 0.5, flip=True)
     flip_ok = flipped.verdict == "fail" or flipped.fit.slope < 0.2
@@ -248,6 +254,7 @@ def test_c09_negative_controls(tmp_path, capsys):
              f"code {code} == 2")
 
 
+@pytest.mark.slow
 def test_c10_uniform_norms(critical_sweep, subcritical_sweep, slow_sweep,
                            frozen_sweep, strong_sweep, supercritical_sweep):
     sweeps = {"k=2": critical_sweep, "k=1.5": subcritical_sweep,
@@ -263,6 +270,7 @@ def test_c10_uniform_norms(critical_sweep, subcritical_sweep, slow_sweep,
              f"non-increasing in eps up to 20% slack: {monotone}")
 
 
+@pytest.mark.slow
 def test_c11_deterministic_sweep(critical_sweep):
     again = _sweep(W_CRITICAL, 2.0, GammaMode.UNIT, 0.5)
     same = points_csv(again) == points_csv(critical_sweep)

@@ -4,6 +4,7 @@ Most tests call main() in process for speed; one subprocess test checks
 the installed console script end to end.
 """
 import json
+import resource
 import subprocess
 import sys
 
@@ -349,13 +350,19 @@ class TestEntryPoints:
 # Bad values end in a documented exit code, never a traceback or a hang
 # ---------------------------------------------------------------------------
 
-def run_cli_subprocess(command: str, cfg: dict, tmp_path, timeout: float):
+def run_cli_subprocess(command: str, cfg: dict, tmp_path, timeout: float,
+                       preexec_fn=None):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return subprocess.run(
         [sys.executable, "-m", "oscpot.cli", command, "--config", str(path),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=timeout)
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=preexec_fn)
+
+
+def limit_address_space_2gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30))
 
 
 class TestBadValues:
@@ -412,6 +419,39 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert "config error: 'potential.modes'" in err
         assert "not finite" in err
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_sweep_richardson_must_be_a_json_boolean(self, write_cfg, tmp_path,
+                                                     capsys, value):
+        # bool("false") is True: a string used to turn the certificate on.
+        cfg = base_config(sweep=dict(SWEEP_BLOCK, richardson=value))
+        assert run_cli("sweep", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert "config error: 'sweep.richardson' must be true or false" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["slope_tolerance", "r2_min",
+                                     "richardson_max"])
+    def test_sweep_tolerance_not_a_number(self, write_cfg, tmp_path, capsys,
+                                          key):
+        cfg = base_config(sweep=dict(SWEEP_BLOCK, **{key: "abc"}))
+        assert run_cli("sweep", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert f"config error: 'sweep.{key}' must be a number" in \
+            capsys.readouterr().err
+
+    def test_solve_memory_gate_exits_before_allocating(self, tmp_path):
+        # eps = 0.01 in 2-D: nx 3,200, so each 65-snapshot array of the
+        # pair would take 5.3 GB.  The address-space cap turns an
+        # allocation attempt into a quick MemoryError, not a machine
+        # running out of memory.
+        cfg = base_config(epsilon=0.01, potential={"d": 2, "modes": [
+            {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0},
+            {"m": [-1, 0], "n": 1, "re": 0.5, "im": 0.0}]})
+        cfg["problem"]["g"] = [{"amp": 1.0, "j": [1, 1]}]
+        proc = run_cli_subprocess("solve", cfg, tmp_path, timeout=60,
+                                  preexec_fn=limit_address_space_2gib)
+        assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
+        assert proc.stderr.startswith("resource violation: solve needs about")
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_sweep_checkpoints_default_to_sweep_config(self):
         cfg = base_config(sweep=dict(SWEEP_BLOCK))

@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 
 from oscpot import (BlowUp, GammaMode, GridMismatch, GridSpec,
                     InitialDescriptor, InitialTerm, ProblemSpec,
                     ResolutionViolation, ScalarSeries, SourceDescriptor,
-                    SourceTerm, TrigField, error_linf_l2, policy_grid,
-                    resolve_regime, richardson_check, solve_epsilon,
-                    solve_homogenized)
+                    SourceTerm, TrigField, effective_potential,
+                    error_linf_l2, policy_grid, resolve_regime,
+                    richardson_check, solve_epsilon, solve_homogenized)
 from oscpot.pdesolve import (DIFFUSIVE_DT_DIVISOR, DT_DIVISOR,
                              POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
-                             check_resolution)
+                             check_resolution, checkpoint_distances,
+                             solve_pair)
 
 DIAG = TrigField.from_cos(1, [1], -1)
 G1 = InitialDescriptor((InitialTerm(1.0, (1,)),))
@@ -209,6 +211,68 @@ def test_frozen_series_reaction_uses_closed_form_integral():
     assert l2_error_vs(traj, exact) <= 1e-10
 
 
+# -- homogenized march on sine coefficients ------------------------------
+
+def physical_space_march(ceff, f, g, grid):
+    """The homogenized Strang/CN scheme stepped in x: transform, multiply
+    and transform back at every step."""
+    h, dt = grid.h, grid.dt_effective
+    lam1 = -(4.0 / h ** 2) * np.sin(np.arange(1, grid.nx + 1)
+                                    * math.pi * h / 2.0) ** 2
+    lam = lam1 if grid.d == 1 else lam1[:, None] + lam1[None, :]
+    z = 0.5 * dt * lam
+    source = f.compile(grid)
+    u = g.build(grid)
+    snaps = [u]
+    for i in range(grid.total_steps):
+        a, m, b = i * dt, (i + 0.5) * dt, (i + 1) * dt
+        u = u * math.exp(-ceff.definite_integral(a, m))
+        rhs = (1.0 + z) * scipy.fft.dstn(u, type=1) \
+            + scipy.fft.dstn(0.5 * dt * (source(a) + source(b)), type=1)
+        u = scipy.fft.idstn(rhs / (1.0 - z), type=1)
+        u = u * math.exp(-ceff.definite_integral(m, b))
+        if (i + 1) % grid.steps_per_interval == 0:
+            snaps.append(u)
+    return np.array(snaps)
+
+
+def frozen_w(d):
+    """cos(2 pi y1) (1 + cos 2 pi tau), the frozen-time benchmark potential."""
+    m = (1,) + (0,) * (d - 1)
+    return (TrigField.from_cos(d, m, 0) + TrigField.from_cos(d, m, 1, 0.5)
+            + TrigField.from_cos(d, m, -1, 0.5))
+
+
+@pytest.mark.parametrize("grid, g_modes, f_modes", [
+    # nx = 16: sin(21 pi x) and sin(19 pi x) alias onto modes 13 and 15
+    (GridSpec(1, 16, 1.0 / 256, 0.25, checkpoints=8),
+     [(1.0, (1,)), (0.3, (21,))], [(1.5, (2,)), (-0.8, (19,))]),
+    (GridSpec(2, 12, 1.0 / 128, 0.125, checkpoints=8),
+     [(1.0, (1, 1)), (0.3, (2, 17))], [(1.5, (1, 2)), (-0.8, (15, 3))]),
+], ids=["1d", "2d"])
+def test_coefficient_march_matches_physical_space_march(grid, g_modes,
+                                                        f_modes):
+    W = frozen_w(grid.d)
+    ceff = effective_potential(resolve_regime(0.0, GammaMode.UNIT, W), W)
+    assert isinstance(ceff, ScalarSeries) and len(ceff.terms) > 1
+    g = InitialDescriptor(tuple(InitialTerm(a, j) for a, j in g_modes))
+    f = SourceDescriptor(tuple(SourceTerm(a, j, sigma=-0.7, omega=5.0)
+                               for a, j in f_modes))
+    got = solve_homogenized(ceff, f, g, grid).snapshots
+    want = physical_space_march(ceff, f, g, grid)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pair_starts_from_identical_snapshots():
+    r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
+    g = InitialDescriptor((InitialTerm(1.0, (1,)), InitialTerm(0.4, (5,))))
+    p = ProblemSpec(W=DIAG, eps=0.25, regime=r, f=F0, g=g)
+    grid = GridSpec(1, 64, 1.0 / 512, 0.0625, checkpoints=8)
+    _, u_eps, u_hom = solve_pair(p, effective_potential(r, DIAG), grid)
+    assert checkpoint_distances(u_eps, u_hom)[0] == 0.0
+
+
 # -- exact oscillated reaction --------------------------------------------
 
 def test_pure_reaction_matches_quadrature():
@@ -265,6 +329,15 @@ def test_epsilon_solver_enforces_policy():
     traj = solve_epsilon(p, coarse, enforce_policy=False,
                          disable_diffusion=True)
     assert traj.snapshots.shape == (9, 32)
+
+
+def test_disable_diffusion_rejects_a_source():
+    r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
+    f = SourceDescriptor((SourceTerm(1.0, (1,)),))
+    p = ProblemSpec(W=DIAG, eps=1 / 8, regime=r, f=f, g=G1)
+    with pytest.raises(ValueError, match="disable_diffusion"):
+        solve_epsilon(p, GridSpec(1, 32, 1.0 / 64, 0.5, checkpoints=8),
+                      enforce_policy=False, disable_diffusion=True)
 
 
 def test_epsilon_solver_dimension_mismatch():
