@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import platform
 import sys
 from pathlib import Path
@@ -33,7 +32,7 @@ from .potential import (GammaMode, TrigField, descriptor_from_field,
                         field_from_descriptor)
 from .pdesolve import (MIN_CHECKPOINTS, GridSpec, InitialDescriptor,
                        InitialTerm, ProblemSpec, SourceDescriptor, SourceTerm,
-                       check_resolution, checkpoint_distances, policy_grid,
+                       check_cost, checkpoint_distances, policy_grid,
                        solve_pair)
 from .ratelab import (SweepConfig, ceff_as_json, default_workers, run_sweep,
                       write_outputs)
@@ -45,9 +44,6 @@ EXIT_REGIME = 2
 EXIT_IDENTITY = 3
 EXIT_RESOURCE = 4
 EXIT_VERDICT = 5
-
-#: Largest estimated memory `solve` may ask for (bytes).
-SOLVE_MEMORY_LIMIT = 4 * 2 ** 30
 
 
 class ConfigError(ValueError):
@@ -79,17 +75,21 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
             raise ConfigError(f"missing key '{where}.{key}'")
 
 
+def _name(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
 def _number(block: dict, key: str, where: str, *, positive=False,
             default: float | None = None):
     if key not in block and default is not None:
         return default
     val = block[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"'{where}.{key}' must be a number")
-    if not math.isfinite(val):
-        raise ConfigError(f"'{where}.{key}' must be finite, got {val}")
+        raise ConfigError(f"'{_name(where, key)}' must be a number")
+    if not abs(val) <= sys.float_info.max:   # NaN, infinities, huge ints
+        raise ConfigError(f"'{_name(where, key)}' must be finite, got {val}")
     if positive and not val > 0:
-        raise ConfigError(f"'{where}.{key}' must be positive")
+        raise ConfigError(f"'{_name(where, key)}' must be positive")
     return float(val)
 
 
@@ -100,13 +100,23 @@ def _regime_k(block: dict) -> float:
     return k
 
 
-def _checkpoints(cfg: dict, default: int) -> int:
-    block = cfg.get("grid", {})
-    n = _number(block, "checkpoints", "grid", default=default)
-    if n != int(n) or n < MIN_CHECKPOINTS:
+def _count(block: dict, key: str, where: str, default: int | None,
+           minimum: int) -> int | None:
+    if key not in block:
+        return default
+    n = _number(block, key, where)
+    if n != int(n) or n < minimum:
         raise ConfigError(
-            f"'grid.checkpoints' must be an integer >= {MIN_CHECKPOINTS}")
-    return int(n)
+            f"'{_name(where, key)}' must be an integer >= {minimum}")
+    return int(block[key])
+
+
+def _setting(cfg: dict, args, key: str, minimum: int) -> int | None:
+    """A top-level count (budget, workers) from the config or, if given,
+    from its command-line flag."""
+    n = _count(cfg, key, "", None, minimum)
+    flag = getattr(args, key)
+    return n if flag is None else flag
 
 
 def load_config(path: str | Path) -> dict:
@@ -116,7 +126,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also ints past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
@@ -144,12 +154,14 @@ def validate_config(cfg: dict, command: str) -> None:
                       {"epsilons"}, "sweep")
     if "output" in cfg:
         _require_keys(cfg["output"], {"dir"}, set(), "output")
+        if not isinstance(cfg["output"].get("dir", "."), str):
+            raise ConfigError("'output.dir' must be a string")
 
 
 def build_potential(cfg: dict) -> TrigField:
     block = cfg["potential"]
     d = block.get("d")
-    if d is not None and d not in (1, 2):
+    if d is not None and (isinstance(d, bool) or d not in (1, 2)):
         raise ConfigError("'potential.d' must be 1 or 2")
     try:
         return field_from_descriptor(block["modes"], d)
@@ -191,7 +203,8 @@ def _parse_terms(raw, where: str, d: int, *, with_time: bool):
         _require_keys(term, allowed, {"amp", "j"}, f"{where}[{i}]")
         j = term["j"]
         if (not isinstance(j, list) or len(j) != d
-                or any(not isinstance(v, int) or v < 1 for v in j)):
+                or any(isinstance(v, bool) or not isinstance(v, int) or v < 1
+                       for v in j)):
             raise ConfigError(
                 f"'{where}[{i}].j' must be a list of {d} integers >= 1")
         amp = _number(term, "amp", f"{where}[{i}]")
@@ -222,7 +235,8 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
             for e in eps):
         raise ConfigError("'sweep.epsilons' must be a list of numbers")
     T, f, g = build_problem(cfg, W.d)
-    checkpoints = _checkpoints(cfg, SweepConfig.checkpoints)
+    checkpoints = _count(cfg.get("grid", {}), "checkpoints", "grid",
+                         SweepConfig.checkpoints, MIN_CHECKPOINTS)
     regime_block = cfg["regime"]
     k = _regime_k(regime_block)
     gamma_mode = parse_gamma_mode(regime_block)
@@ -234,6 +248,8 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
     limits = {key: _number(block, key, "sweep",
                            default=getattr(SweepConfig, key))
               for key in ("slope_tolerance", "r2_min", "richardson_max")}
+    budget = _setting(cfg, args, "budget", 0)
+    workers = _setting(cfg, args, "workers", 1)
     try:
         return SweepConfig(
             W=W,
@@ -244,9 +260,8 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
             checkpoints=checkpoints,
             sign_override=sign_override,
             run_richardson=richardson,
-            budget=args.budget if args.budget is not None else cfg.get("budget"),
-            workers=args.workers if args.workers is not None
-            else cfg.get("workers"),
+            budget=budget,
+            workers=workers,
             **limits,
         )
     except ValueError as exc:
@@ -275,7 +290,10 @@ def _outdir(cfg: dict, args) -> Path:
         out = Path(args.out)
     else:
         out = Path(cfg.get("output", {}).get("dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return out
 
 
@@ -353,23 +371,16 @@ def cmd_solve(cfg: dict, args) -> int:
     eps = float(eps)
     T, f, g = build_problem(cfg, W.d)
     grid_block = cfg.get("grid", {})
-    checkpoints = _checkpoints(cfg, 64)
+    checkpoints = _count(grid_block, "checkpoints", "grid", 64,
+                         MIN_CHECKPOINTS)
     base = policy_grid(eps, regime.k, regime.gamma, T, W.d, checkpoints)
+    nx = _count(grid_block, "nx", "grid", base.nx, 1)
+    dt = _number(grid_block, "dt", "grid", positive=True, default=base.dt)
     try:
-        grid = GridSpec(W.d,
-                        int(grid_block.get("nx", base.nx)),
-                        float(grid_block.get("dt", base.dt)),
-                        T, checkpoints)
-    except (TypeError, ValueError) as exc:
+        grid = GridSpec(W.d, nx, dt, T, checkpoints)
+    except ValueError as exc:
         raise ConfigError(f"'grid': {exc}") from exc
-    # Two float64 snapshot arrays, plus one complex profile per W mode.
-    cells = grid.nx ** grid.d
-    need = 16 * (grid.checkpoints + 1) * cells + 16 * len(W.terms) * cells
-    if need > SOLVE_MEMORY_LIMIT:
-        raise BudgetExceeded(
-            f"solve needs about {need / 2 ** 30:.1f} GiB for nx = {grid.nx} "
-            f"in {grid.d}d, limit is {SOLVE_MEMORY_LIMIT / 2 ** 30:g} GiB")
-    check_resolution(grid, eps, regime.k, regime.gamma)
+    check_cost("solve", W, f, [[grid]], _setting(cfg, args, "budget", 0))
     ceff = effective_potential(regime, W)
     problem = ProblemSpec(W=W, eps=eps, regime=regime, f=f, g=g)
     err, u_eps, u_hom = solve_pair(problem, ceff, grid)
@@ -457,7 +468,8 @@ def _parser() -> argparse.ArgumentParser:
                        help=f"process fan-out over eps (default from "
                             f"$OSCPOT_WORKERS, currently {default_workers()})")
         p.add_argument("--budget", type=int, default=None,
-                       help="cap on total cell updates for a sweep")
+                       help="cap on the cell updates (cells times time "
+                            "steps) of all the solves of solve and sweep")
     return parser
 
 
@@ -485,7 +497,8 @@ def main(argv=None) -> int:
     except (NoApplicableRegime, UnsupportedK) as exc:
         print(f"regime rejection: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (ResolutionViolation, BudgetExceeded, BlowUp) as exc:
+    except (ResolutionViolation, BudgetExceeded, BlowUp,
+            OverflowError) as exc:
         print(f"resource violation: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except DegenerateFit as exc:

@@ -60,5 +60,7 @@ class DegenerateFit(OscpotError):
 
 
 class BudgetExceeded(OscpotError):
-    """The estimated cost of a sweep exceeds the configured budget, or
-    the estimated memory of a solve exceeds its limit."""
+    """The solves of a command need more cell updates than their budget
+    (or the fixed ceiling without one) or more memory than the limit, by
+    pdesolve.check_cost; or no double-precision time grid holds the
+    requested time scales."""

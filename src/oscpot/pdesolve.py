@@ -35,6 +35,7 @@ refinement certificate used by rate sweeps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,7 +43,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .correctors import effective_potential
-from .errors import BlowUp, GridMismatch, ResolutionViolation
+from .errors import BlowUp, BudgetExceeded, GridMismatch, ResolutionViolation
 from .potential import ScalarSeries, TrigField
 from .regimes import RegimeSpec
 
@@ -60,6 +61,10 @@ DT_DIVISOR = 8
 DIFFUSIVE_DT_DIVISOR = 64
 #: Fewest snapshot times a grid may have.
 MIN_CHECKPOINTS = 8
+#: Largest estimated memory the solves of one command may hold (bytes).
+MEMORY_LIMIT = 4 * 2 ** 30
+#: Cell updates one command may run when no budget is given.
+CELL_UPDATE_CEILING = 10 ** 13
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class GridSpec:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         interval = self.T / self.checkpoints
-        steps = round(interval / self.dt)
+        steps = round(_step_count(interval, self.dt))
         if steps < 1 or abs(steps * self.dt - interval) > 1e-6 * interval:
             raise ValueError(
                 f"dt = {self.dt} does not divide the checkpoint interval "
@@ -143,15 +148,29 @@ class GridSpec:
         return np.arange(self.checkpoints + 1) * self.interval
 
 
+def _step_count(interval: float, dt: float) -> float:
+    """interval / dt; BudgetExceeded when doubles cannot hold that time
+    grid: a step that underflows to 0, an interval below the smallest
+    normal double, or a count that overflows."""
+    fits = dt > 0 and interval >= sys.float_info.min
+    steps = interval / dt if fits else math.inf
+    if not math.isfinite(steps):
+        raise BudgetExceeded(
+            f"no double-precision time grid has steps of {dt:.3g} over "
+            f"an interval of {interval:.3g}")
+    return steps
+
+
 def policy_grid(eps: float, k: float, gamma: float, T: float, d: int,
                 checkpoints: int = 64) -> GridSpec:
     """Default grid for this eps: double the policy floor in space, and
     dt under both the oscillation cap and the diffusive-relaxation cap."""
-    nx = max(8, math.ceil(POINTS_PER_EPS_DEFAULT / eps))
     interval = T / checkpoints
     dt_cap = min(min(eps ** k, eps ** (gamma + 1.0)) / DT_DIVISOR,
                  eps ** 2 / DIFFUSIVE_DT_DIVISOR)
-    steps = max(1, math.ceil(interval / dt_cap))
+    # First, so that an eps whose 32/eps overflows (eps^2 is then 0) ends here.
+    steps = max(1, math.ceil(_step_count(interval, dt_cap)))
+    nx = max(8, math.ceil(POINTS_PER_EPS_DEFAULT / eps))
     return GridSpec(d, nx, interval / steps, T, checkpoints)
 
 
@@ -479,6 +498,34 @@ def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
     u_eps = solve_epsilon(p, grid, enforce_policy=enforce_policy)
     u_hom = solve_homogenized(ceff, p.f, p.g, grid)
     return error_linf_l2(u_eps, u_hom), u_eps, u_hom
+
+
+def pair_cost(W: TrigField, f: SourceDescriptor,
+              grid: GridSpec) -> tuple[int, int]:
+    """(cell updates, peak bytes) of solve_pair on `grid`: two snapshot arrays
+    and their difference, one complex profile per W mode and one per source."""
+    per_cell = 3 * (grid.checkpoints + 1) + 2 * len(W.terms) + len(f.terms)
+    return 2 * grid.cell_updates(), 8 * per_cell * grid.nx ** grid.d
+
+
+def check_cost(command: str, W: TrigField, f: SourceDescriptor,
+               units: Sequence[Sequence[GridSpec]], budget: int | None,
+               workers: int = 1) -> None:
+    """Raise BudgetExceeded unless the pair solves on `units` fit in `budget`
+    cell updates and, run min(workers, len(units)) units at a time, in
+    MEMORY_LIMIT bytes; a unit is the grids one worker solves in turn."""
+    total = sum(pair_cost(W, f, g)[0] for unit in units for g in unit)
+    cap = CELL_UPDATE_CEILING if budget is None else budget
+    if total > cap:
+        raise BudgetExceeded(
+            f"{command} needs about {total} cell updates, budget is {cap}")
+    size, nx = max((sum(pair_cost(W, f, g)[1] for g in unit), unit[-1].nx)
+                   for unit in units)
+    need = size * max(1, min(workers, len(units)))
+    if need > MEMORY_LIMIT:
+        raise BudgetExceeded(
+            f"{command} needs about {need / 2 ** 30:.1f} GiB for nx = {nx} "
+            f"in {units[0][0].d}d, limit is {MEMORY_LIMIT / 2 ** 30:g} GiB")
 
 
 def refinement_residual(e_coarse: float, e_fine: float) -> float:

@@ -23,8 +23,8 @@ Fields are immutable; arithmetic returns new objects.
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -207,6 +207,9 @@ class TrigField:
         if isinstance(other, TrigField):
             if other.d != self.d:
                 raise ValueError("dimension mismatch in field product")
+            # Every product coefficient is bounded by the product of masses.
+            if not math.isfinite(self.coeff_mass * other.coeff_mass):
+                raise OverflowError("field product overflows double precision")
             entries = []
             for m1, n1, c1 in self.terms:
                 for m2, n2, c2 in other.terms:
@@ -415,6 +418,19 @@ def sample_oscillated(W: TrigField, eps: float, k: float, gamma: float, x, t: fl
 # Descriptor I/O
 # ---------------------------------------------------------------------------
 
+def _entry_number(v, what: str, integer: bool = False):
+    """A JSON number of a mode entry: a finite float, or an int for an
+    index; bools, other types and fractional indices are rejected."""
+    kind = "an integer" if integer else "a number"
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be {kind}, got {v!r}")
+    if not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{what} = {v!r} is not finite")
+    if integer and v != int(v):
+        raise ValueError(f"{what} must be {kind}, got {v!r}")
+    return int(v) if integer else float(v)
+
+
 def field_from_descriptor(entries: Sequence[Mapping], d: int | None = None) -> TrigField:
     """Build a TrigField from a list of {"m": [...], "n": int, "re": .., "im": ..}.
 
@@ -438,15 +454,17 @@ def field_from_descriptor(entries: Sequence[Mapping], d: int | None = None) -> T
         m = entry["m"]
         if not isinstance(m, Sequence) or isinstance(m, (str, bytes)):
             raise ValueError(f"mode entry {i}: 'm' must be a list of integers")
-        key = _as_mode_key(m, entry["n"])
+        key = (tuple(_entry_number(v, f"mode entry {i}: 'm'", integer=True)
+                     for v in m),
+               _entry_number(entry["n"], f"mode entry {i}: 'n'", integer=True))
         if dim is None:
             dim = len(key[0])
         elif len(key[0]) != dim:
             raise ValueError(
                 f"mode entry {i}: dimension {len(key[0])} conflicts with {dim}")
-        c = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        if not cmath.isfinite(c):
-            raise ValueError(f"mode entry {i}: coefficient {c} is not finite")
+        c = complex(*(_entry_number(entry.get(part, 0.0),
+                                    f"mode entry {i}: '{part}'")
+                      for part in ("re", "im")))
         if key in seen:
             if abs(seen[key] - c) > 1e-12 * max(1.0, abs(c)):
                 raise ValueError(

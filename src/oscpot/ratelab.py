@@ -14,6 +14,7 @@ refinement residual stays below `richardson_max`.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -23,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .correctors import effective_potential, identity_report
-from .errors import BudgetExceeded, DegenerateFit
+from .errors import DegenerateFit
 from .potential import GammaMode, ScalarSeries, TrigField
 from .pdesolve import (GridSpec, InitialDescriptor, ProblemSpec,
-                       SourceDescriptor, policy_grid, refinement_residual,
-                       solve_pair)
+                       SourceDescriptor, check_cost, policy_grid,
+                       refinement_residual, solve_pair)
 from .regimes import RegimeSpec, resolve_regime
 
 WORKERS_ENV = "OSCPOT_WORKERS"
@@ -193,17 +194,8 @@ def fit_loglog(eps, errors, floor: float = ERROR_FLOOR) -> FitResult:
 # Sweep execution
 # ---------------------------------------------------------------------------
 
-def _point_cost(grid: GridSpec, richardson: bool) -> int:
-    cost = 2 * grid.cell_updates()
-    if richardson:
-        cost += 2 * grid.refined().cell_updates()
-    return cost
-
-
-def _run_point(cfg: SweepConfig, regime: RegimeSpec,
-               ceff, eps: float) -> SweepPoint:
-    grid = policy_grid(eps, regime.k, regime.gamma, cfg.T, cfg.W.d,
-                       cfg.checkpoints)
+def _run_point(cfg: SweepConfig, regime: RegimeSpec, ceff, eps: float,
+               grid: GridSpec) -> SweepPoint:
     problem = ProblemSpec(W=cfg.W, eps=eps, regime=regime, f=cfg.f, g=cfg.g)
     err, u_eps, u_hom = solve_pair(problem, ceff, grid)
     rich = None
@@ -221,37 +213,26 @@ def _run_point(cfg: SweepConfig, regime: RegimeSpec,
 def run_sweep(cfg: SweepConfig) -> RateReport:
     """Execute the sweep and assemble the rate report.
 
-    Raises BudgetExceeded before any solve if the estimated cost is over
-    the configured budget; regime or admissibility rejections propagate
-    from resolve_regime.
+    Raises BudgetExceeded from pdesolve.check_cost before any solve; regime
+    or admissibility rejections propagate from resolve_regime.
     """
     regime = resolve_regime(cfg.k, cfg.gamma_mode, cfg.W,
                             sign_override=cfg.sign_override)
     ceff = effective_potential(regime, cfg.W)
     identities = identity_report(cfg.W, regime)
 
-    if cfg.budget is not None:
-        total = 0
-        for eps in cfg.epsilons:
-            grid = policy_grid(eps, regime.k, regime.gamma, cfg.T, cfg.W.d,
-                               cfg.checkpoints)
-            total += _point_cost(grid, cfg.run_richardson)
-        if total > cfg.budget:
-            raise BudgetExceeded(
-                f"sweep needs about {total} cell updates, budget is "
-                f"{cfg.budget}")
-
     workers = cfg.workers if cfg.workers is not None else default_workers()
     workers = min(workers, len(cfg.epsilons))
+    grids = [policy_grid(eps, regime.k, regime.gamma, cfg.T, cfg.W.d,
+                         cfg.checkpoints) for eps in cfg.epsilons]
+    units = [[g, g.refined()] if cfg.run_richardson else [g] for g in grids]
+    check_cost("sweep", cfg.W, cfg.f, units, cfg.budget, workers)
+    run = functools.partial(_run_point, cfg, regime, ceff)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_run_point,
-                                   [cfg] * len(cfg.epsilons),
-                                   [regime] * len(cfg.epsilons),
-                                   [ceff] * len(cfg.epsilons),
-                                   cfg.epsilons))
+            points = list(pool.map(run, cfg.epsilons, grids))
     else:
-        points = [_run_point(cfg, regime, ceff, eps) for eps in cfg.epsilons]
+        points = list(map(run, cfg.epsilons, grids))
 
     reasons: list[str] = []
     fit = None

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from oscpot import cli
+from oscpot.pdesolve import CELL_UPDATE_CEILING, policy_grid
 
 COS_TRAVELLING = [{"m": [1], "n": -1, "re": 0.5, "im": 0.0},
                   {"m": [-1], "n": 1, "re": 0.5, "im": 0.0}]
@@ -351,12 +352,12 @@ class TestEntryPoints:
 # ---------------------------------------------------------------------------
 
 def run_cli_subprocess(command: str, cfg: dict, tmp_path, timeout: float,
-                       preexec_fn=None):
+                       preexec_fn=None, flags=()):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return subprocess.run(
         [sys.executable, "-m", "oscpot.cli", command, "--config", str(path),
-         "--out", str(tmp_path / "out")],
+         "--out", str(tmp_path / "out"), *flags],
         capture_output=True, text=True, timeout=timeout,
         preexec_fn=preexec_fn)
 
@@ -458,3 +459,103 @@ class TestBadValues:
         W = cli.build_potential(cfg)
         args = cli._parser().parse_args(["sweep", "--config", "unused"])
         assert cli.build_sweep_config(cfg, W, args).checkpoints == 96
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 0.5), ("m", [1.9]), ("m", [True]), ("m", [None]), ("n", None),
+        ("re", None), ("re", [1]),
+    ])
+    def test_mode_entry_numbers(self, write_cfg, tmp_path, capsys, key,
+                                value):
+        cfg = base_config()
+        cfg["potential"]["modes"] = [dict(COS_TRAVELLING[0], **{key: value})]
+        assert run_cli("verify", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert f"config error: 'potential.modes': mode entry 0: '{key}'" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, block, key, value, message", [
+        ("sweep", None, "budget", "abc", "'budget' must be a number"),
+        ("sweep", None, "workers", "abc", "'workers' must be a number"),
+        ("sweep", None, "workers", 1.5, "'workers' must be an integer >= 1"),
+        ("solve", "grid", "nx", 300.9, "'grid.nx' must be an integer"),
+        ("solve", "grid", "nx", "300", "'grid.nx' must be a number"),
+        ("solve", "grid", "dt", "1e-4", "'grid.dt' must be a number"),
+        ("verify", "output", "dir", [1], "'output.dir' must be a string"),
+        ("verify", "potential", "d", True, "'potential.d' must be 1 or 2"),
+    ])
+    def test_config_values_are_checked(self, write_cfg, tmp_path, capsys,
+                                       command, block, key, value, message):
+        cfg = base_config(epsilon=0.25, sweep=dict(SWEEP_BLOCK),
+                          grid={"checkpoints": 8})
+        (cfg.setdefault(block, {}) if block else cfg)[key] = value
+        assert run_cli(command, write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_output_directory_that_cannot_be_made(self, write_cfg, tmp_path,
+                                                  capsys):
+        (tmp_path / "file").write_text("")
+        code = run_cli("verify", write_cfg(base_config()),
+                       tmp_path / "file" / "out")
+        assert code == cli.EXIT_CONFIG
+        assert "config error: cannot create output directory" in \
+            capsys.readouterr().err
+
+    def test_initial_mode_index_is_not_a_bool(self, write_cfg, tmp_path,
+                                              capsys):
+        cfg = base_config(epsilon=0.25, grid={"checkpoints": 8})
+        cfg["problem"]["g"] = [{"amp": 1.0, "j": [True]}]
+        assert run_cli("solve", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert "config error: 'problem.g[0].j'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, change", [
+        ("solve", {"epsilon": 1e-200}),
+        ("sweep", {"sweep": {"epsilons": [0.25, 0.2, 0.125, 1e-200]}}),
+        ("solve", {"epsilon": 0.25, "regime": {"k": 1e300}}),
+        ("solve", {"epsilon": 0.25, "problem": {
+            "T": 1e308, "g": [{"amp": 1.0, "j": [1]}]}}),
+    ], ids=["eps-solve", "eps-sweep", "k", "T"])
+    def test_time_scale_out_of_range_exits_4(self, write_cfg, tmp_path,
+                                             capsys, command, change):
+        cfg = base_config(**change)
+        assert run_cli(command, write_cfg(cfg), tmp_path) == \
+            cli.EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("resource violation: no double-precision time")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [(), ("--budget", "1000")])
+    def test_huge_final_time_stops_at_the_ceiling(self, tmp_path, flags):
+        cfg = base_config(epsilon=0.25)
+        cfg["problem"]["T"] = 1e300
+        proc = run_cli_subprocess("solve", cfg, tmp_path, timeout=60,
+                                  flags=flags)
+        assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
+        budget = flags[1] if flags else str(CELL_UPDATE_CEILING)
+        assert proc.stderr.startswith("resource violation: solve needs about")
+        assert proc.stderr.strip().endswith(
+            f"cell updates, budget is {budget}")
+
+    def test_solve_honours_the_budget(self, write_cfg, tmp_path, capsys):
+        cfg = base_config(epsilon=0.25, grid={"checkpoints": 8})
+        need = 2 * policy_grid(0.25, 2.0, 1.0, 0.125, 1, 8).cell_updates()
+        path = write_cfg(cfg)
+        code = run_cli("solve", path, tmp_path, "--budget", str(need - 1))
+        assert code == cli.EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err == (f"resource violation: solve needs about {need} cell "
+                       f"updates, budget is {need - 1}\n")
+        assert run_cli("solve", path, tmp_path, "--budget",
+                       str(need)) == cli.EXIT_OK
+
+    def test_sweep_memory_gate_exits_before_allocating(self, tmp_path):
+        # A 2-D ladder from eps = 1/64: the first point alone would hold
+        # two (97, 2048, 2048) snapshot arrays.
+        cfg = base_config(potential={"d": 2, "modes": [
+            {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0}]},
+            sweep={"epsilons": [1 / 64, 1 / 72, 1 / 80, 1 / 96]})
+        cfg["problem"] = {"T": 1 / 64, "g": [{"amp": 1.0, "j": [1, 1]}]}
+        proc = run_cli_subprocess("sweep", cfg, tmp_path, timeout=60,
+                                  preexec_fn=limit_address_space_2gib)
+        assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
+        assert proc.stderr.startswith("resource violation: sweep needs about")
+        assert "GiB for nx = 6145 in 2d" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1

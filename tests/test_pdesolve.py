@@ -1,22 +1,24 @@
 """Solver mechanics: grids, policy, exact reaction, CN diffusion, guards."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.integrate
 
-from oscpot import (BlowUp, GammaMode, GridMismatch, GridSpec,
+from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridMismatch, GridSpec,
                     InitialDescriptor, InitialTerm, ProblemSpec,
                     ResolutionViolation, ScalarSeries, SourceDescriptor,
                     SourceTerm, TrigField, effective_potential,
                     error_linf_l2, policy_grid, resolve_regime,
                     richardson_check, solve_epsilon, solve_homogenized)
-from oscpot.pdesolve import (DIFFUSIVE_DT_DIVISOR, DT_DIVISOR,
-                             POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
+from oscpot.pdesolve import (CELL_UPDATE_CEILING, DIFFUSIVE_DT_DIVISOR,
+                             DT_DIVISOR, MEMORY_LIMIT, POINTS_PER_EPS,
+                             POINTS_PER_EPS_DEFAULT, check_cost,
                              check_resolution, checkpoint_distances,
-                             solve_pair)
+                             pair_cost, solve_pair)
 
 DIAG = TrigField.from_cos(1, [1], -1)
 G1 = InitialDescriptor((InitialTerm(1.0, (1,)),))
@@ -425,3 +427,71 @@ def test_repeat_solve_is_bitwise_identical():
     b = solve_epsilon(p, grid)
     assert np.array_equal(a.snapshots, b.snapshots)
     assert a.max_l2 == b.max_l2
+
+
+# -- cost model ------------------------------------------------------------
+
+def test_pair_memory_estimate_bounds_the_traced_peak():
+    # The 2-D benchmark solve's grid (eps = 1/8, nx 256, 64 checkpoints)
+    # over a short T: the peak does not depend on the number of steps.
+    W = frozen_w(2)
+    regime = resolve_regime(0.0, GammaMode.UNIT, W)
+    p = ProblemSpec(W=W, eps=1 / 8, regime=regime, f=F0,
+                    g=InitialDescriptor((InitialTerm(1.0, (1, 1)),)))
+    grid = GridSpec(2, 256, 1.0 / 16384, 1.0 / 256, checkpoints=64)
+    ceff = effective_potential(regime, W)
+    tracemalloc.start()
+    try:
+        solve_pair(p, ceff, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = pair_cost(W, F0, grid)[1]
+    assert peak <= estimate <= 1.25 * peak
+
+
+def test_cost_gate_counts_updates_and_memory_per_worker():
+    # Units whose pair needs between 2 and 4 GiB; no grid allocates.
+    W = frozen_w(2)
+    big = GridSpec(2, 1024, 1.0 / 64, 1.5, checkpoints=96)
+    assert 2 * 2 ** 30 < pair_cost(W, F0, big)[1] < MEMORY_LIMIT
+    units = [[big], [big]]
+    total = 2 * 2 * big.cell_updates()
+    check_cost("sweep", W, F0, units, total, workers=1)
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 1024 in 2d"):
+        check_cost("sweep", W, F0, units, total, workers=2)
+    with pytest.raises(BudgetExceeded, match="cell updates, budget is"):
+        check_cost("sweep", W, F0, units, total - 1)
+
+
+def test_cost_gate_holds_the_coarse_pair_during_the_refined_one():
+    W = frozen_w(2)
+    coarse = GridSpec(2, 730, 1.0 / 64, 1.0, checkpoints=64)
+    fine = coarse.refined()
+    need = [pair_cost(W, F0, g)[1] for g in (coarse, fine)]
+    assert need[1] < MEMORY_LIMIT < sum(need)
+    check_cost("sweep", W, F0, [[fine]], None)
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 1461"):
+        check_cost("sweep", W, F0, [[coarse, fine]], None)
+
+
+def test_cost_gate_has_a_ceiling_without_a_budget():
+    grid = GridSpec(1, 10 ** 6, 1e-3, 1e4, checkpoints=8)
+    assert 2 * grid.cell_updates() > CELL_UPDATE_CEILING
+    with pytest.raises(BudgetExceeded,
+                       match=f"budget is {CELL_UPDATE_CEILING}"):
+        check_cost("solve", DIAG, F0, [[grid]], None)
+
+
+@pytest.mark.parametrize("T, dt", [(1e308, 1e-3), (1e-320, 1e-3),
+                                   (1.0, 5e-324)])
+def test_unrepresentable_time_grid_is_a_budget_violation(T, dt):
+    with pytest.raises(BudgetExceeded, match="no double-precision time grid"):
+        GridSpec(1, 32, dt, T, checkpoints=8)
+
+
+@pytest.mark.parametrize("eps, k, T", [(1e-200, 2.0, 0.5), (5e-324, 2.0, 0.5),
+                                       (0.25, 1e300, 0.5), (0.25, 2.0, 1e308)])
+def test_policy_grid_time_scale_out_of_range(eps, k, T):
+    with pytest.raises(BudgetExceeded, match="no double-precision time grid"):
+        policy_grid(eps, k, 1.0, T, 1)

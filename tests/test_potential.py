@@ -367,6 +367,30 @@ def test_descriptor_rejects_bad_input():
                                {"m": [1, 1], "n": 0, "re": 1.0}])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 0.5), ("m", [1.9]), ("m", [True]), ("m", [None]), ("n", None),
+    ("n", True), ("re", None), ("re", [1]), ("im", "0.5"), ("re", 10 ** 400),
+])
+def test_descriptor_numbers_must_be_numbers_and_indices_integers(key, value):
+    # int() used to turn n = 0.5 into 0 and m = [1.9] into [1]: another
+    # potential, without a message.
+    entry = {"m": [1], "n": -1, "re": 0.5, "im": 0.0, key: value}
+    with pytest.raises(ValueError, match=f"mode entry 0: '{key}'"):
+        field_from_descriptor([entry])
+
+
+def test_descriptor_accepts_integral_floats_as_indices():
+    W = field_from_descriptor([{"m": [1.0], "n": -1.0, "re": 0.5}])
+    assert W == field_from_descriptor([{"m": [1], "n": -1, "re": 0.5}])
+    assert all(type(v) is int for m, n, _ in W.terms for v in m + (n,))
+
+
+def test_algebra_overflow_raises_overflow_error():
+    W = field_from_descriptor([{"m": [1], "n": -1, "re": 1e300}])
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        W * W
+
+
 def test_descriptor_duplicate_consistent_entries_merge():
     W = field_from_descriptor([{"m": [1], "n": 1, "re": 0.5},
                                {"m": [1], "n": 1, "re": 0.5},

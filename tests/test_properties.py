@@ -5,15 +5,19 @@ Random real trigonometric polynomials in d = 0 (functions of tau), 1 and
 shares no code with the coefficient algebra beyond the mode sum itself.
 """
 
+import copy
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscpot import ScalarSeries, TrigField, iteration_depth
+from oscpot import ScalarSeries, TrigField, cli, iteration_depth
 
 SETTINGS = settings(max_examples=25, deadline=None)
 TWO_PI = 2.0 * math.pi
@@ -119,3 +123,71 @@ def test_iteration_depth_is_the_smallest_admissible_stage(k):
     i = iteration_depth(k)
     assert i * (k - 1.0) >= k - 1e-12
     assert i == 1 or (i - 1) * (k - 1.0) < k - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing: any value at any leaf ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+#: A config every command accepts, with every key the parser reads.
+FUZZ_BASE = {
+    "potential": {"d": 1, "modes": [{"m": [1], "n": -1, "re": 0.5,
+                                     "im": 0.0}]},
+    "regime": {"k": 2.0, "gamma_mode": "unit", "sign_override": False},
+    "problem": {"T": 0.125,
+                "f": [{"amp": 1.0, "j": [1], "sigma": 0.0, "omega": 1.0}],
+                "g": [{"amp": 1.0, "j": [1]}]},
+    "grid": {"nx": 128, "dt": 1 / 512, "checkpoints": 8},
+    "epsilon": 0.125,
+    "sweep": {"epsilons": [0.25, 0.2, 0.125, 0.1], "slope_tolerance": 0.3,
+              "r2_min": 0.95, "richardson_max": 0.1, "richardson": True},
+    "output": {"dir": "out"},
+    "workers": 1,
+    "budget": 1000,
+}
+
+
+def _leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+@SETTINGS
+@given(st.sampled_from(list(_leaves(FUZZ_BASE))), json_values)
+# Inputs that ended in a traceback before they were mended:
+@example(("potential", "modes", 0, "n"), None)
+@example(("potential", "modes", 0, "m", 0), 1e300)   # int -> float overflow
+@example(("potential", "modes", 0, "re"), 1e300)     # c_eff overflows to NaN
+@example(("problem", "T"), 5e-324)                   # interval underflows
+@example(("problem", "T"), 1e-320)                   # refined dt subnormal
+@example(("epsilon",), 5e-324)                       # 32/eps overflows
+@example(("sweep", "epsilons", 3), 5e-324)
+@example(("budget",), "abc")
+@example(("output", "dir"), [1])
+def test_any_config_value_ends_in_a_documented_exit_code(path, value):
+    cfg = copy.deepcopy(FUZZ_BASE)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for command in cli._COMMANDS:
+            # A budget of one cell update stops solve and sweep at the gate.
+            flags = ["--budget", "1"] if command in ("solve", "sweep") else []
+            code = cli.main([command, "--config", str(cfg_path),
+                             "--out", str(Path(tmp) / "out"), *flags])
+            assert code in range(6), (command, code)
