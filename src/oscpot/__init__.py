@@ -13,19 +13,17 @@ from .errors import (BlowUp, BudgetExceeded, ChainIdentityViolation,
                      DegenerateFit, GridMismatch, NoApplicableRegime,
                      NonPeriodicAntiderivative, OscpotError,
                      ResolutionViolation, SolvabilityViolation, UnsupportedK)
-from .potential import (GammaMode, ScalarSeries, SpatialField, TrigField,
+from .potential import (GammaMode, ScalarSeries, TrigField,
                         descriptor_from_field, field_from_descriptor,
                         sample_oscillated)
-from .regimes import (AssumptionId, RegimeFamily, RegimeSpec,
-                      classify_assumption, iteration_depth, resolve_regime,
-                      theoretical_rate)
+from .regimes import (RegimeFamily, RegimeSpec, iteration_depth,
+                      resolve_regime, theoretical_rate)
 from .correctors import (CorrectorSet, build_correctors, chi3_chain,
                          chi5_chain, effective_potential, identity_report,
                          solve_chi1, solve_chi2, solve_chi3, solve_chi7)
 from .pdesolve import (GridSpec, InitialDescriptor, InitialTerm, ProblemSpec,
                        SourceDescriptor, SourceTerm, Trajectory, error_linf_l2,
-                       policy_grid, richardson_check, solve_epsilon,
-                       solve_homogenized)
+                       policy_grid, solve_epsilon, solve_homogenized)
 from .ratelab import (FitResult, RateReport, SweepConfig, SweepPoint,
                       fit_loglog, run_sweep, write_outputs)
 
@@ -34,9 +32,8 @@ __all__ = [
     "UnsupportedK", "SolvabilityViolation", "ChainIdentityViolation",
     "ResolutionViolation", "BlowUp", "GridMismatch", "DegenerateFit",
     "BudgetExceeded",
-    "AssumptionId", "GammaMode", "ScalarSeries", "SpatialField", "TrigField",
-    "classify_assumption", "descriptor_from_field", "field_from_descriptor",
-    "sample_oscillated",
+    "GammaMode", "ScalarSeries", "TrigField", "descriptor_from_field",
+    "field_from_descriptor", "sample_oscillated",
     "RegimeFamily", "RegimeSpec", "iteration_depth", "resolve_regime",
     "theoretical_rate",
     "CorrectorSet", "build_correctors", "chi3_chain", "chi5_chain",
@@ -44,7 +41,7 @@ __all__ = [
     "solve_chi3", "solve_chi7",
     "GridSpec", "InitialDescriptor", "InitialTerm", "ProblemSpec",
     "SourceDescriptor", "SourceTerm", "Trajectory", "error_linf_l2",
-    "policy_grid", "richardson_check", "solve_epsilon", "solve_homogenized",
+    "policy_grid", "solve_epsilon", "solve_homogenized",
     "FitResult", "RateReport", "SweepConfig", "SweepPoint", "fit_loglog",
     "run_sweep", "write_outputs",
 ]

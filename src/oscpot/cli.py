@@ -301,7 +301,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(cfg: dict, command: str, W: TrigField, extra: dict) -> dict:
+def _manifest(command: str, W: TrigField, extra: dict) -> dict:
     manifest = {
         "command": command,
         "potential": {"d": W.d, "modes": descriptor_from_field(W)},
@@ -335,7 +335,7 @@ def cmd_correctors(cfg: dict, args) -> int:
     }
     _write_json(out / "correctors.json", payload)
     _write_json(out / "manifest.json",
-                _manifest(cfg, "correctors", W, {"regime": regime.as_dict()}))
+                _manifest("correctors", W, {"regime": regime.as_dict()}))
     print(f"effective potential: {ceff_as_json(cset.effective)}")
     return EXIT_OK
 
@@ -347,7 +347,7 @@ def cmd_verify(cfg: dict, args) -> int:
     out = _outdir(cfg, args)
     _write_json(out / "identities.json", report.as_dict())
     _write_json(out / "manifest.json",
-                _manifest(cfg, "verify", W, {"regime": regime.as_dict()}))
+                _manifest("verify", W, {"regime": regime.as_dict()}))
     for check in report.checks:
         state = ("skipped" if check.skipped
                  else "ok" if check.passed else "FAIL")
@@ -381,10 +381,10 @@ def cmd_solve(cfg: dict, args) -> int:
     except ValueError as exc:
         raise ConfigError(f"'grid': {exc}") from exc
     check_cost("solve", W, f, [[grid]], _setting(cfg, args, "budget", 0))
+    out = _outdir(cfg, args)
     ceff = effective_potential(regime, W)
     problem = ProblemSpec(W=W, eps=eps, regime=regime, f=f, g=g)
     err, u_eps, u_hom = solve_pair(problem, ceff, grid)
-    out = _outdir(cfg, args)
     grid_info = {"nx": grid.nx, "dt": grid.dt_effective, "T": grid.T,
                  "checkpoints": grid.checkpoints}
     _write_json(out / "solve.json", {
@@ -403,7 +403,7 @@ def cmd_solve(cfg: dict, args) -> int:
         lines.append(f"{float(t)!r},{float(ne)!r},{float(nh)!r},"
                      f"{float(nd)!r}\n")
     (out / "checkpoint_norms.csv").write_text("".join(lines))
-    _write_json(out / "manifest.json", _manifest(cfg, "solve", W, {
+    _write_json(out / "manifest.json", _manifest("solve", W, {
         "regime": regime.as_dict(),
         "epsilon": eps,
         "problem": cfg["problem"],
@@ -416,10 +416,10 @@ def cmd_solve(cfg: dict, args) -> int:
 def cmd_sweep(cfg: dict, args) -> int:
     W = build_potential(cfg)
     sweep_cfg = build_sweep_config(cfg, W, args)
-    report = run_sweep(sweep_cfg)
     out = _outdir(cfg, args)
+    report = run_sweep(sweep_cfg)
     write_outputs(report, out)
-    _write_json(out / "manifest.json", _manifest(cfg, "sweep", W, {
+    _write_json(out / "manifest.json", _manifest("sweep", W, {
         "regime": report.regime.as_dict(),
         "problem": cfg["problem"],
         "sweep": {

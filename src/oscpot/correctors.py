@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainIdentityViolation, SolvabilityViolation
-from .potential import TWO_PI, ScalarSeries, SpatialField, TrigField
+from .potential import TWO_PI, ScalarSeries, TrigField, _build
 from .regimes import RegimeFamily, RegimeSpec
 
 #: Relative tolerance for exact-in-principle coefficient identities.
@@ -51,10 +51,10 @@ def solve_chi1(W: TrigField) -> TrigField:
                 f"mean is {c.real:.6g}")
         denom = TWO_PI * 1j * n + TWO_PI ** 2 * sum(v * v for v in m)
         entries.append(((m, n), c / denom))
-    return TrigField(W.d, entries, _skip_check=True)
+    return _build(W.d, entries)
 
 
-def solve_chi2(W: TrigField) -> SpatialField:
+def solve_chi2(W: TrigField) -> TrigField:
     """Spatial corrector from the tau-mean: Lap_y chi = mean_tau(W)."""
     rhs = W.mean_tau()
     zero = (0,) * W.d
@@ -64,8 +64,8 @@ def solve_chi2(W: TrigField) -> SpatialField:
             raise SolvabilityViolation(
                 f"Poisson cell problem needs a zero-mean right-hand side; "
                 f"mean of the tau-average is {c.real:.6g}")
-        entries.append((m, -c / (TWO_PI ** 2 * sum(v * v for v in m))))
-    return SpatialField(W.d, entries, _skip_check=True)
+        entries.append(((m, 0), -c / (TWO_PI ** 2 * sum(v * v for v in m))))
+    return _build(W.d, entries)
 
 
 def solve_chi3(W: TrigField) -> TrigField:
@@ -77,7 +77,7 @@ def solve_chi3(W: TrigField) -> TrigField:
     for m, n, c in W.terms:
         if any(m):
             entries.append(((m, n), -c / (TWO_PI ** 2 * sum(v * v for v in m))))
-    return TrigField(W.d, entries, _skip_check=True)
+    return _build(W.d, entries)
 
 
 @dataclass(frozen=True)
@@ -211,17 +211,11 @@ class CorrectorSet:
     regime: RegimeSpec
     effective: float | ScalarSeries
     chi1: TrigField | None = None
-    chi2: SpatialField | None = None
+    chi2: TrigField | None = None
     chi3: TrigField | None = None
     primitives: TimePrimitives | None = None
     chi7: TrigField | None = None
     chain: tuple[TrigField, ...] = ()
-
-    def primary(self):
-        name = self.regime.corrector
-        if name == "chi4":
-            return self.primitives.chi4
-        return getattr(self, name)
 
 
 def build_correctors(W: TrigField, regime: RegimeSpec) -> CorrectorSet:
@@ -298,14 +292,22 @@ def identity_report(W: TrigField, regime: RegimeSpec,
     proofs rest on; all are exact for trigonometric potentials, so any
     residual beyond round-off indicates a defect.
 
-    Checks whose structural precondition W does not meet are reported as
-    skipped, not failed.
+    Round-off grows with the terms compared, so each residual is held to
+    tol * max(1, s), s the larger average of an energy pairing or the
+    coefficient mass of the product whose mean must vanish.  Checks whose
+    structural precondition W does not meet are reported as skipped, not
+    failed.
     """
     checks: list[IdentityCheck] = []
 
-    def add(name, residual):
-        checks.append(IdentityCheck(name, float(residual), tol,
-                                    passed=float(residual) <= tol))
+    def add(name, residual, scale):
+        bound = tol * max(1.0, scale)
+        checks.append(IdentityCheck(name, float(residual), bound,
+                                    passed=float(residual) <= bound))
+
+    def pair(name, a, b):
+        # a + b vanishes for a correct corrector.
+        add(name, abs(a + b), max(abs(a), abs(b)))
 
     def skip(name, why):
         checks.append(IdentityCheck(name, None, tol, passed=True, skipped=why))
@@ -317,29 +319,31 @@ def identity_report(W: TrigField, regime: RegimeSpec,
     # energy of the corrector.
     if zero_mean:
         chi1 = solve_chi1(W)
-        add("chi1_energy", abs(grad_pair_mean(chi1, chi1) - mean_product(chi1, W)))
+        pair("chi1_energy", grad_pair_mean(chi1, chi1), -mean_product(chi1, W))
         chi2 = solve_chi2(W)
-        add("chi2_energy", abs(grad_pair_mean(chi2, chi2) + mean_product(chi2, W)))
+        pair("chi2_energy", grad_pair_mean(chi2, chi2), mean_product(chi2, W))
     else:
         skip("chi1_energy", "needs M(W) = 0")
         skip("chi2_energy", "needs M(W) = 0")
     chi3 = solve_chi3(W)
-    add("chi3_energy", abs(grad_pair_mean(chi3, chi3) + mean_product(chi3, W)))
+    pair("chi3_energy", grad_pair_mean(chi3, chi3), mean_product(chi3, W))
 
     if tau_mean_free:
         parts = chi5_chain(W)
-        add("chi4_energy",
-            abs(grad_pair_mean(parts.chi4, W)
-                + grad_pair_mean(parts.chi5_tilde, parts.chi5_tilde)))
+        pair("chi4_energy", grad_pair_mean(parts.chi4, W),
+             grad_pair_mean(parts.chi5_tilde, parts.chi5_tilde))
         # The pairing of W with its own primitive integrates to half the
         # square of the tau-mean, which is zero here.
-        add("chi5_pair_mean", abs(mean_product(parts.chi5, W)))
-        chi7 = solve_chi7(W)
-        resid_field = (chi7 * W).mean_tau()
+        prod = parts.chi5 * W
+        add("chi5_pair_mean", abs(prod.mean_full()), prod.coeff_mass)
+        prod = solve_chi7(W) * W
+        resid_field = prod.mean_tau()
         grid = [np.linspace(0.0, 1.0, 33, endpoint=False)] * W.d
         mesh = np.meshgrid(*grid, indexing="ij") if W.d > 1 else grid
         vals = resid_field.evaluate(mesh if W.d > 1 else mesh[0], 0.0)
-        add("chi7_weighted_mean", float(np.max(np.abs(vals))) if np.size(vals) else 0.0)
+        add("chi7_weighted_mean",
+            float(np.max(np.abs(vals))) if np.size(vals) else 0.0,
+            prod.coeff_mass)
     else:
         skip("chi4_energy", "needs mean_tau(W) = 0")
         skip("chi5_pair_mean", "needs mean_tau(W) = 0")
@@ -351,7 +355,8 @@ def identity_report(W: TrigField, regime: RegimeSpec,
         chain = chi3_chain(W, 2)
         W4 = W.mean_y()
         for i, stage in enumerate(chain, start=1):
-            add(f"chain_mean_{i}", abs((stage * W4).coeff(0)))
+            prod = stage * W4
+            add(f"chain_mean_{i}", abs(prod.coeff(0)), prod.coeff_mass)
     else:
         skip("chain_mean_1", "needs M(W) = 0")
         skip("chain_mean_2", "needs M(W) = 0")

@@ -42,7 +42,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import fft as sp_fft
 
-from .correctors import effective_potential
 from .errors import BlowUp, BudgetExceeded, GridMismatch, ResolutionViolation
 from .potential import ScalarSeries, TrigField
 from .regimes import RegimeSpec
@@ -63,8 +62,9 @@ DIFFUSIVE_DT_DIVISOR = 64
 MIN_CHECKPOINTS = 8
 #: Largest estimated memory the solves of one command may hold (bytes).
 MEMORY_LIMIT = 4 * 2 ** 30
-#: Cell updates one command may run when no budget is given.
-CELL_UPDATE_CEILING = 10 ** 13
+#: Cell updates one command may run when no budget is given: about a
+#: quarter of an hour at the ~10 M cell-updates/s of a 1-D solve.
+CELL_UPDATE_CEILING = 10 ** 10
 
 
 @dataclass(frozen=True)
@@ -511,14 +511,10 @@ def pair_cost(W: TrigField, f: SourceDescriptor,
 def check_cost(command: str, W: TrigField, f: SourceDescriptor,
                units: Sequence[Sequence[GridSpec]], budget: int | None,
                workers: int = 1) -> None:
-    """Raise BudgetExceeded unless the pair solves on `units` fit in `budget`
-    cell updates and, run min(workers, len(units)) units at a time, in
-    MEMORY_LIMIT bytes; a unit is the grids one worker solves in turn."""
-    total = sum(pair_cost(W, f, g)[0] for unit in units for g in unit)
-    cap = CELL_UPDATE_CEILING if budget is None else budget
-    if total > cap:
-        raise BudgetExceeded(
-            f"{command} needs about {total} cell updates, budget is {cap}")
+    """Raise BudgetExceeded unless the pair solves on `units`, run
+    min(workers, len(units)) units at a time, fit in MEMORY_LIMIT bytes,
+    and all of them in `budget` cell updates; a unit is the grids one
+    worker solves in turn.  Memory is checked first, as the harder limit."""
     size, nx = max((sum(pair_cost(W, f, g)[1] for g in unit), unit[-1].nx)
                    for unit in units)
     need = size * max(1, min(workers, len(units)))
@@ -526,6 +522,11 @@ def check_cost(command: str, W: TrigField, f: SourceDescriptor,
         raise BudgetExceeded(
             f"{command} needs about {need / 2 ** 30:.1f} GiB for nx = {nx} "
             f"in {units[0][0].d}d, limit is {MEMORY_LIMIT / 2 ** 30:g} GiB")
+    total = sum(pair_cost(W, f, g)[0] for unit in units for g in unit)
+    cap = CELL_UPDATE_CEILING if budget is None else budget
+    if total > cap:
+        raise BudgetExceeded(
+            f"{command} needs about {total} cell updates, budget is {cap}")
 
 
 def refinement_residual(e_coarse: float, e_fine: float) -> float:
@@ -535,19 +536,3 @@ def refinement_residual(e_coarse: float, e_fine: float) -> float:
         return 0.0
     return abs(e_coarse - e_fine) / top
 
-
-def richardson_check(p: ProblemSpec, grid: GridSpec, *,
-                     enforce_policy: bool = True) -> float:
-    """Relative change of the eps-vs-homogenized error under one joint
-    refinement (dt/2, nx -> 2nx+1).
-
-    Small values certify that the measured error is a property of the
-    problem, not the discretization; sweeps require <= 0.1.  A sweep
-    point, which has already solved the coarse pair, calls solve_pair on
-    the refined grid and refinement_residual instead.
-    """
-    ceff = effective_potential(p.regime, p.W)
-    e_coarse, e_fine = (
-        solve_pair(p, ceff, g, enforce_policy=enforce_policy)[0]
-        for g in (grid, grid.refined()))
-    return refinement_residual(e_coarse, e_fine)

@@ -14,9 +14,9 @@ carry no discretization error.
 TrigField is the one coefficient type.  A function of y only is a field
 whose modes all have n = 0 (tau-averages, spatial correctors); a function
 of tau only is a field with d = 0, whose modes have an empty m
-(y-averages, iterated correctors).  SpatialField and ScalarSeries are
-views of those two shapes that keep their historical constructors and
-(m, c) / (n, c) mode tuples; they add no algebra of their own.
+(y-averages, iterated correctors).  ScalarSeries is a view of the
+second shape that keeps its historical constructor and (n, c) mode
+tuples; it adds no algebra of its own.
 
 Fields are immutable; arithmetic returns new objects.
 """
@@ -99,9 +99,7 @@ class TrigField:
     d: int
     terms: tuple[tuple[tuple[int, ...], int, complex], ...]
 
-    def __init__(self, d: int,
-                 coeffs: Mapping | Iterable | None = None,
-                 *, _skip_check: bool = False):
+    def __init__(self, d: int, coeffs: Mapping | Iterable | None = None):
         if d < 1:
             raise ValueError(f"spatial dimension must be >= 1, got {d}")
         items = []
@@ -117,7 +115,7 @@ class TrigField:
                     raise ValueError(
                         f"mode {key[0]} has dimension {len(key[0])}, expected {d}")
                 items.append((key, complex(c)))
-        _fill(self, d, items, check=not _skip_check)
+        _fill(self, d, items, check=True)
 
     @property
     def modes(self) -> tuple[tuple[tuple[int, ...], int, complex], ...]:
@@ -173,11 +171,6 @@ class TrigField:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def trimmed(self, tol: float) -> "TrigField":
-        """Drop modes with |coefficient| <= tol (absolute)."""
-        return _build(self.d, [((m, n), c) for m, n, c in self.terms
-                               if abs(c) > tol])
 
     # -- algebra --------------------------------------------------------
 
@@ -325,33 +318,12 @@ def _check_imag(total: np.ndarray, mass: float) -> None:
             f"are not Hermitian")
 
 
-def _pairs(coeffs: Mapping | Iterable | None) -> Iterable:
-    return coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
-
-
-class SpatialField(TrigField):
-    """A function of y only, built from and read as (m, c) pairs."""
-
-    def __init__(self, d: int, coeffs: Mapping | Iterable | None = None,
-                 *, _skip_check: bool = False):
-        super().__init__(d, [((m, 0), c) for m, c in _pairs(coeffs)],
-                         _skip_check=_skip_check)
-
-    @property
-    def modes(self) -> tuple[tuple[tuple[int, ...], complex], ...]:
-        return tuple((m, c) for m, _, c in self.terms)
-
-    def mean(self) -> float:
-        return self.mean_full()
-
-
 class ScalarSeries(TrigField):
     """A function of tau only (d = 0), built from and read as (n, c) pairs."""
 
-    def __init__(self, coeffs: Mapping | Iterable | None = None,
-                 *, _skip_check: bool = False):
-        _fill(self, 0, [(((), int(n)), c) for n, c in _pairs(coeffs)],
-              check=not _skip_check)
+    def __init__(self, coeffs: Mapping | Iterable | None = None):
+        pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs or ()
+        _fill(self, 0, [(((), int(n)), c) for n, c in pairs], check=True)
 
     @staticmethod
     def constant(value: float) -> "ScalarSeries":

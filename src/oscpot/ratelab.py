@@ -18,7 +18,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +131,6 @@ class RateReport:
     uniform_spread: float
     identities_passed: bool
     identities_max_residual: float
-    config: SweepConfig = field(repr=False, default=None)
 
     @property
     def passed(self) -> bool:
@@ -201,7 +200,7 @@ def _run_point(cfg: SweepConfig, regime: RegimeSpec, ceff, eps: float,
     rich = None
     if cfg.run_richardson:
         # The coarse pair is the one just solved; only the refined grid
-        # is new (the same certificate as pdesolve.richardson_check).
+        # is new.
         rich = refinement_residual(
             err, solve_pair(problem, ceff, grid.refined())[0])
     return SweepPoint(eps=eps, error=err, richardson=rich,
@@ -270,7 +269,6 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         uniform_spread=spread,
         identities_passed=identities.all_passed,
         identities_max_residual=identities.max_residual,
-        config=cfg,
     )
 
 

@@ -14,8 +14,8 @@ The whole map is one table, REGIMES, with a row per regime family: its
 admissibility class, gamma mode, window of k, admissibility condition on
 W, corrector and rate.  resolve_regime() is the single entry point that
 turns (k, gamma mode, potential) into a fully resolved RegimeSpec or
-rejects the combination; classify_assumption(), theoretical_rate() and
-RegimeSpec.corrector read the same table.
+rejects the combination; theoretical_rate() and RegimeSpec.corrector
+read the same table.
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ from .potential import GammaMode, TrigField
 MAX_CHAIN_DEPTH = 64
 
 
-class AssumptionId(Enum):
-    """Admissibility class of (W, k, gamma); numbering follows the
-    parameter map k > 2 strong / 1 < k < 2 / k = 2 / k > 2 weak / k <= 1."""
-
-    STRONG_FAST_TIME = 1   # gamma = k - 1, 2 < k <= 3, tau-mean of W vanishes
-    SUBCRITICAL = 2        # gamma = 1, 1 < k < 2, full mean vanishes
-    CRITICAL = 3           # gamma = 1, k = 2, full mean vanishes
-    SUPERCRITICAL = 4      # gamma = 1, k > 2, full mean vanishes
-    SLOW_TIME = 5          # gamma = 1, 0 <= k <= 1, y-mean of W vanishes
-
-
 class RegimeFamily(Enum):
     """Qualitative behaviour of the limit, keyed by (k, gamma)."""
 
@@ -58,11 +47,13 @@ class RegimeFamily(Enum):
 
 @dataclass(frozen=True)
 class RegimeRow:
-    """One family of the parameter map.  `rejection` may name the full
-    mean of W as {mean}."""
+    """One family of the parameter map.  `assumption` numbers its
+    admissibility class (1 strong fast time, 2 subcritical, 3 critical,
+    4 supercritical, 5 k <= 1).  `rejection` may name the full mean of W
+    as {mean}."""
 
     family: RegimeFamily
-    assumption: AssumptionId
+    assumption: int
     gamma_mode: GammaMode
     k_window: Callable[[float], bool]
     admissible: Callable[[TrigField], bool]
@@ -91,24 +82,24 @@ _NEEDS_Y_MEAN_FREE = ("k <= 1 requires the y-mean of W to vanish for every "
 #: The parameter map; the first row whose gamma mode and k window match
 #: applies.  Proven rates p in ||u_eps - u_hom|| = O(eps^p).
 REGIMES = (
-    RegimeRow(RegimeFamily.STRONG_FAST_TIME, AssumptionId.STRONG_FAST_TIME,
+    RegimeRow(RegimeFamily.STRONG_FAST_TIME, 1,
               GammaMode.K_MINUS_1, lambda k: 2.0 < k <= 3.0, _tau_mean_free,
               "gamma = k - 1 requires the tau-mean of W to vanish for "
               "every y (no n = 0 modes)",
               "chi4", lambda k: k - 2.0),
-    RegimeRow(RegimeFamily.FROZEN_TIME, AssumptionId.SLOW_TIME,
+    RegimeRow(RegimeFamily.FROZEN_TIME, 5,
               GammaMode.UNIT, lambda k: k == 0.0, _y_mean_free,
               _NEEDS_Y_MEAN_FREE, "chi3", lambda k: 1.0),
-    RegimeRow(RegimeFamily.SLOW_TIME, AssumptionId.SLOW_TIME,
+    RegimeRow(RegimeFamily.SLOW_TIME, 5,
               GammaMode.UNIT, lambda k: 0.0 < k <= 1.0, _y_mean_free,
               _NEEDS_Y_MEAN_FREE, "chi3", lambda k: k),
-    RegimeRow(RegimeFamily.SUBCRITICAL, AssumptionId.SUBCRITICAL,
+    RegimeRow(RegimeFamily.SUBCRITICAL, 2,
               GammaMode.UNIT, lambda k: 1.0 < k < 2.0, _zero_mean,
               _NEEDS_ZERO_MEAN, "chi3", lambda k: min(2.0 - k, k - 1.0)),
-    RegimeRow(RegimeFamily.CRITICAL, AssumptionId.CRITICAL,
+    RegimeRow(RegimeFamily.CRITICAL, 3,
               GammaMode.UNIT, lambda k: k == 2.0, _zero_mean,
               _NEEDS_ZERO_MEAN, "chi1", lambda k: 1.0),
-    RegimeRow(RegimeFamily.SUPERCRITICAL, AssumptionId.SUPERCRITICAL,
+    RegimeRow(RegimeFamily.SUPERCRITICAL, 4,
               GammaMode.UNIT, lambda k: k > 2.0, _zero_mean,
               _NEEDS_ZERO_MEAN, "chi2", lambda k: min(k - 2.0, 1.0)),
 )
@@ -126,24 +117,6 @@ def _row_for(k: float, gamma_mode: GammaMode) -> RegimeRow | None:
                  if row.gamma_mode is gamma_mode and row.k_window(k)), None)
 
 
-def _admit(row: RegimeRow, W: TrigField) -> RegimeRow:
-    if not row.admissible(W):
-        raise NoApplicableRegime(row.rejection.format(mean=W.mean_full()))
-    return row
-
-
-def classify_assumption(W: TrigField, k: float, gamma_mode: GammaMode) -> AssumptionId:
-    """Decide which admissibility class (W, k, gamma) falls into.
-
-    Raises NoApplicableRegime naming the first violated condition.
-    """
-    row = _row_for(k, gamma_mode)
-    if row is None:
-        raise NoApplicableRegime(
-            f"gamma = k - 1 requires 2 < k <= 3, got k = {k}")
-    return _admit(row, W).assumption
-
-
 def theoretical_rate(k: float, family: RegimeFamily) -> float:
     """Proven convergence exponent p in ||u_eps - u_hom|| = O(eps^p)."""
     if family not in _BY_FAMILY:
@@ -158,7 +131,7 @@ class RegimeSpec:
     k: float
     gamma: float
     gamma_mode: GammaMode
-    assumption: AssumptionId
+    assumption: int
     family: RegimeFamily
     rate: float
     chain_depth: int | None = None
@@ -177,7 +150,7 @@ class RegimeSpec:
             "k": self.k,
             "gamma": self.gamma,
             "gamma_mode": self.gamma_mode.value,
-            "assumption": self.assumption.value,
+            "assumption": self.assumption,
             "family": self.family.value,
             "corrector": self.corrector,
             "rate": self.rate,
@@ -215,7 +188,8 @@ def resolve_regime(k: float, gamma_mode: GammaMode, W: TrigField,
         # produces a nontrivial limit, so the pairing itself is rejected.
         raise UnsupportedK(
             f"gamma = k - 1 is supported only for 2 < k <= 3, got k = {k}")
-    _admit(row, W)
+    if not row.admissible(W):
+        raise NoApplicableRegime(row.rejection.format(mean=W.mean_full()))
     depth = None
     if row.family is RegimeFamily.SUBCRITICAL:
         depth = iteration_depth(k)

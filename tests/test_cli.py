@@ -238,6 +238,18 @@ class TestVerifyCommand:
         assert "identity failure: chi1_energy" in captured.err
 
 
+    def test_large_index_passes_on_round_off(self, write_cfg, tmp_path,
+                                             capsys):
+        # cos 2 pi (1000 y - tau): the chi4 energy terms are about 5e5, so
+        # their residual of one rounding error exceeds an absolute 1e-10.
+        cfg = base_config()
+        cfg["potential"]["modes"] = [
+            {"m": [1000], "n": -1, "re": 0.5, "im": 0.0},
+            {"m": [-1000], "n": 1, "re": 0.5, "im": 0.0}]
+        code = run_cli("verify", write_cfg(cfg), tmp_path)
+        assert code == cli.EXIT_OK, capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve command
 # ---------------------------------------------------------------------------
@@ -499,6 +511,22 @@ class TestBadValues:
         assert "config error: cannot create output directory" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, work", [("solve", "solve_pair"),
+                                               ("sweep", "run_sweep")])
+    def test_output_directory_is_made_before_the_work(
+            self, write_cfg, tmp_path, capsys, monkeypatch, command, work):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output directory "
+                                 f"was made")
+        monkeypatch.setattr(cli, work, refuse)
+        (tmp_path / "file").write_text("")
+        cfg = base_config(epsilon=0.25, sweep=dict(SWEEP_BLOCK),
+                          grid={"checkpoints": 8})
+        code = run_cli(command, write_cfg(cfg), tmp_path / "file" / "out")
+        assert code == cli.EXIT_CONFIG
+        assert "config error: cannot create output directory" in \
+            capsys.readouterr().err
+
     def test_initial_mode_index_is_not_a_bool(self, write_cfg, tmp_path,
                                               capsys):
         cfg = base_config(epsilon=0.25, grid={"checkpoints": 8})
@@ -533,6 +561,17 @@ class TestBadValues:
         assert proc.stderr.startswith("resource violation: solve needs about")
         assert proc.stderr.strip().endswith(
             f"cell updates, budget is {budget}")
+
+    def test_small_eps_without_budget_stops_at_the_ceiling(self, tmp_path):
+        # eps = 0.001 over T = 1/2 needs about 2e12 cell updates for the
+        # pair, a day of stepping; the default ceiling stops it at once.
+        cfg = base_config(epsilon=0.001)
+        cfg["problem"]["T"] = 0.5
+        proc = run_cli_subprocess("solve", cfg, tmp_path, timeout=60)
+        assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
+        assert proc.stderr.startswith("resource violation: solve needs about")
+        assert proc.stderr.strip().endswith(
+            f"cell updates, budget is {CELL_UPDATE_CEILING}")
 
     def test_solve_honours_the_budget(self, write_cfg, tmp_path, capsys):
         cfg = base_config(epsilon=0.25, grid={"checkpoints": 8})

@@ -62,7 +62,7 @@ def test_chi2_poisson_from_tau_mean():
     chi = solve_chi2(WMIX)
     # tau-mean of WMIX is cos(2 pi y); -Lap^{-1} gives -cos(2 pi y)/(4 pi^2)
     assert chi.evaluate(0.0) == pytest.approx(-1.0 / (4 * PI2), abs=1e-14)
-    assert chi.mean() == 0.0
+    assert chi.mean_full() == 0.0
 
 
 def test_chi2_rejects_biased_potential():
@@ -291,7 +291,6 @@ def test_energy_balance_chi3():
 def test_build_correctors_critical():
     spec = regime_for("critical", DIAG)
     cs = build_correctors(DIAG, spec)
-    assert cs.primary() is cs.chi1
     assert cs.chi1 is not None and cs.chi2 is not None
     assert cs.chi3 is not None
     assert cs.primitives is not None       # DIAG has no n = 0 modes
@@ -304,13 +303,12 @@ def test_build_correctors_subcritical_chain_depth():
     cs = build_correctors(DIAG, spec)
     assert spec.chain_depth == 3
     assert len(cs.chain) == 4              # one past the required depth
-    assert cs.primary() is cs.chi3
 
 
 def test_build_correctors_strong():
     spec = regime_for("strong_fast_time", STRONG_W)
     cs = build_correctors(STRONG_W, spec)
-    assert cs.primary() is cs.primitives.chi4
+    assert cs.primitives is not None
     assert cs.chi7 is not None
 
 
@@ -360,6 +358,30 @@ def test_identity_report_flags_corrupted_corrector(monkeypatch):
     rep = mod.identity_report(DIAG, regime_for("critical", DIAG))
     assert not rep.all_passed
     assert rep.first_failure().name == "chi1_energy"
+
+
+def test_identity_tolerance_scales_with_the_terms():
+    # M(grad chi4 . grad W) is about -5e5 here, so the two energy terms
+    # cancel to one rounding error of that size (1.16e-10).
+    W = TrigField.from_cos(1, [1000], -1)
+    rep = identity_report(W, regime_for("critical", W))
+    assert rep.all_passed
+    chi4 = next(c for c in rep.checks if c.name == "chi4_energy")
+    assert chi4.residual > 1e-10
+
+
+def test_scaled_tolerance_flags_a_corrupted_chi4(monkeypatch):
+    import oscpot.correctors as mod
+    real = mod.chi5_chain
+
+    def crooked(W):
+        parts = real(W)
+        return mod.TimePrimitives(parts.chi5, parts.chi5_tilde,
+                                  (1.0 + 1e-9) * parts.chi4)
+    monkeypatch.setattr(mod, "chi5_chain", crooked)
+    W = TrigField.from_cos(1, [1000], -1)
+    rep = mod.identity_report(W, regime_for("critical", W))
+    assert rep.first_failure().name == "chi4_energy"
 
 
 def test_identity_report_as_dict():

@@ -13,12 +13,12 @@ from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridMismatch, GridSpec,
                     ResolutionViolation, ScalarSeries, SourceDescriptor,
                     SourceTerm, TrigField, effective_potential,
                     error_linf_l2, policy_grid, resolve_regime,
-                    richardson_check, solve_epsilon, solve_homogenized)
+                    solve_epsilon, solve_homogenized)
 from oscpot.pdesolve import (CELL_UPDATE_CEILING, DIFFUSIVE_DT_DIVISOR,
                              DT_DIVISOR, MEMORY_LIMIT, POINTS_PER_EPS,
                              POINTS_PER_EPS_DEFAULT, check_cost,
                              check_resolution, checkpoint_distances,
-                             pair_cost, solve_pair)
+                             pair_cost, refinement_residual, solve_pair)
 
 DIAG = TrigField.from_cos(1, [1], -1)
 G1 = InitialDescriptor((InitialTerm(1.0, (1,)),))
@@ -398,12 +398,19 @@ def test_blowup_guard_trips():
         solve_homogenized(-2000.0, F0, G1, grid)
 
 
+def richardson(p, grid, **kw):
+    """Refinement residual of the error under one joint refinement."""
+    ceff = effective_potential(p.regime, p.W)
+    return refinement_residual(*(solve_pair(p, ceff, g, **kw)[0]
+                                 for g in (grid, grid.refined())))
+
+
 def test_richardson_flags_under_resolved_grid():
     eps = 1 / 8
     r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
     p = ProblemSpec(W=DIAG, eps=eps, regime=r, f=F0, g=G1)
     coarse = GridSpec(1, 64, 1.0 / 512, 0.25, checkpoints=16)
-    resid = richardson_check(p, coarse, enforce_policy=False)
+    resid = richardson(p, coarse, enforce_policy=False)
     assert resid > 0.1
 
 
@@ -412,7 +419,7 @@ def test_richardson_accepts_policy_grid():
     r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
     p = ProblemSpec(W=DIAG, eps=eps, regime=r, f=F0, g=G1)
     grid = policy_grid(eps, r.k, r.gamma, 0.25, 1, checkpoints=16)
-    resid = richardson_check(p, grid)
+    resid = richardson(p, grid)
     assert resid <= 0.1
 
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oscpot import (AssumptionId, GammaMode, NonPeriodicAntiderivative,
-                    NoApplicableRegime, ScalarSeries, SpatialField, TrigField,
-                    classify_assumption, descriptor_from_field,
-                    field_from_descriptor, sample_oscillated)
+from oscpot import (GammaMode, NonPeriodicAntiderivative, NoApplicableRegime,
+                    ScalarSeries, TrigField, UnsupportedK,
+                    descriptor_from_field, field_from_descriptor,
+                    resolve_regime, sample_oscillated)
 
 RNG = np.random.default_rng(20240817)
 
@@ -129,13 +129,6 @@ def test_coeff_lookup_and_mass():
     assert W.coeff_mass == pytest.approx(3.0)
 
 
-def test_trimmed_drops_small_modes():
-    W = TrigField.from_cos(1, [1], 0) + TrigField.from_cos(1, [2], 1, amp=1e-15)
-    kept = W.trimmed(1e-13)
-    assert kept.coeff([2], 1) == 0.0
-    assert kept.coeff([1], 0) == pytest.approx(0.5)
-
-
 def test_cancellation_produces_zero_field():
     a = TrigField.from_sin(1, [1], 1, amp=2.0)
     assert (a - a).is_zero()
@@ -226,7 +219,7 @@ def test_antiderivative_tau_requires_oscillation():
         W.antiderivative_tau()
 
 
-# -- ScalarSeries and SpatialField ----------------------------------------
+# -- ScalarSeries and functions of y only ---------------------------------
 
 def test_scalar_series_round_trip():
     s = ScalarSeries({1: 0.5 - 0.25j, -1: 0.5 + 0.25j, 0: 2.0})
@@ -258,9 +251,9 @@ def test_scalar_series_definite_integral_constant_part():
 
 
 def test_spatial_field_round_trip():
-    p = SpatialField(1, {(1,): 0.5, (-1,): 0.5})
+    p = TrigField(1, {((1,), 0): 0.5, ((-1,), 0): 0.5})
     assert p.evaluate(0.25) == pytest.approx(math.cos(math.pi / 2), abs=1e-14)
-    assert p.mean() == pytest.approx(0.0)
+    assert p.mean_full() == pytest.approx(0.0)
     assert (2.0 * p).evaluate(0.1) == pytest.approx(2 * p.evaluate(0.1))
     assert p.as_field().mean_tau().coeff([1]) == pytest.approx(0.5)
 
@@ -273,34 +266,34 @@ def test_classify_all_five_classes():
     mixed = space_only + TrigField.from_cos(1, [1], 1)
     time_osc = TrigField.from_sin(1, [1], 1)
     cases = [
-        (time_osc, 2.5, GammaMode.K_MINUS_1, AssumptionId.STRONG_FAST_TIME),
-        (diag, 1.5, GammaMode.UNIT, AssumptionId.SUBCRITICAL),
-        (diag, 2.0, GammaMode.UNIT, AssumptionId.CRITICAL),
-        (diag, 2.5, GammaMode.UNIT, AssumptionId.SUPERCRITICAL),
-        (mixed, 0.5, GammaMode.UNIT, AssumptionId.SLOW_TIME),
-        (mixed, 0.0, GammaMode.UNIT, AssumptionId.SLOW_TIME),
+        (time_osc, 2.5, GammaMode.K_MINUS_1, 1),
+        (diag, 1.5, GammaMode.UNIT, 2),
+        (diag, 2.0, GammaMode.UNIT, 3),
+        (diag, 2.5, GammaMode.UNIT, 4),
+        (mixed, 0.5, GammaMode.UNIT, 5),
+        (mixed, 0.0, GammaMode.UNIT, 5),
     ]
     for W, k, mode, want in cases:
-        assert classify_assumption(W, k, mode) is want
+        assert resolve_regime(k, mode, W).assumption == want
 
 
 def test_classify_rejections():
     diag = TrigField.from_cos(1, [1], -1)
-    with pytest.raises(NoApplicableRegime, match="2 < k <= 3"):
-        classify_assumption(diag, 2.0, GammaMode.K_MINUS_1)
-    with pytest.raises(NoApplicableRegime, match="2 < k <= 3"):
-        classify_assumption(diag, 3.5, GammaMode.K_MINUS_1)
+    with pytest.raises(UnsupportedK, match="2 < k <= 3"):
+        resolve_regime(2.0, GammaMode.K_MINUS_1, diag)
+    with pytest.raises(UnsupportedK, match="2 < k <= 3"):
+        resolve_regime(3.5, GammaMode.K_MINUS_1, diag)
     has_static = TrigField.from_cos(1, [1], 0) + TrigField.from_sin(1, [1], 1)
     with pytest.raises(NoApplicableRegime, match="tau-mean"):
-        classify_assumption(has_static, 2.5, GammaMode.K_MINUS_1)
+        resolve_regime(2.5, GammaMode.K_MINUS_1, has_static)
     has_uniform = TrigField.from_cos(1, [0], 1) + TrigField.from_cos(1, [1], 1)
     with pytest.raises(NoApplicableRegime, match="y-mean"):
-        classify_assumption(has_uniform, 0.5, GammaMode.UNIT)
+        resolve_regime(0.5, GammaMode.UNIT, has_uniform)
     biased = TrigField.from_cos(1, [1], -1) + TrigField.constant(1, 0.3)
     with pytest.raises(NoApplicableRegime, match="mean"):
-        classify_assumption(biased, 2.0, GammaMode.UNIT)
+        resolve_regime(2.0, GammaMode.UNIT, biased)
     with pytest.raises(ValueError, match="k must be >= 0"):
-        classify_assumption(diag, -1.0, GammaMode.UNIT)
+        resolve_regime(-1.0, GammaMode.UNIT, diag)
 
 
 # -- oscillated sampling ---------------------------------------------------

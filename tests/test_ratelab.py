@@ -344,9 +344,12 @@ def test_sweep_point_solves_each_grid_pair_once(monkeypatch):
     report = run_sweep(cfg)
     assert len(calls) == 2 * len(cfg.epsilons)
     # The reused coarse error gives the same certificate as a fresh check.
-    from oscpot.pdesolve import ProblemSpec, richardson_check
+    from oscpot.pdesolve import (ProblemSpec, refinement_residual,
+                                 solve_pair)
     p0 = report.points[0]
     problem = ProblemSpec(W=cfg.W, eps=p0.eps, regime=report.regime,
                           f=cfg.f, g=cfg.g)
     grid = policy_grid(p0.eps, 2.0, 1.0, cfg.T, 1, cfg.checkpoints)
-    assert p0.richardson == richardson_check(problem, grid)
+    fresh = [solve_pair(problem, report.ceff, g)[0]
+             for g in (grid, grid.refined())]
+    assert p0.richardson == refinement_residual(*fresh)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from oscpot import (AssumptionId, GammaMode, NoApplicableRegime, RegimeFamily,
-                    TrigField, UnsupportedK, iteration_depth, resolve_regime,
+from oscpot import (GammaMode, NoApplicableRegime, RegimeFamily, TrigField,
+                    UnsupportedK, iteration_depth, resolve_regime,
                     theoretical_rate)
+from oscpot.regimes import REGIMES
 
 DIAG = TrigField.from_cos(1, [1], -1)                 # cos(2 pi (y - tau))
 SPACE_TIME = (TrigField.from_cos(1, [1], 0)
@@ -28,6 +29,38 @@ def test_family_assignment_covers_parameter_map():
         assert spec.family is family
         assert spec.k == k
         assert spec.gamma == (k - 1.0 if mode is GammaMode.K_MINUS_1 else 1.0)
+
+
+# The README's regime table, one row per family: gamma mode, a sample k,
+# an admissible potential, admissibility class, corrector, rate at that k.
+README_TABLE = {
+    RegimeFamily.STRONG_FAST_TIME: (GammaMode.K_MINUS_1, 2.75, TIME_OSC, 1,
+                                    "chi4", 0.75),
+    RegimeFamily.SUBCRITICAL: (GammaMode.UNIT, 1.25, DIAG, 2, "chi3", 0.25),
+    RegimeFamily.CRITICAL: (GammaMode.UNIT, 2.0, DIAG, 3, "chi1", 1.0),
+    RegimeFamily.SUPERCRITICAL: (GammaMode.UNIT, 2.25, DIAG, 4, "chi2", 0.25),
+    RegimeFamily.SLOW_TIME: (GammaMode.UNIT, 0.5, SPACE_TIME, 5, "chi3", 0.5),
+    RegimeFamily.FROZEN_TIME: (GammaMode.UNIT, 0.0, SPACE_TIME, 5, "chi3",
+                               1.0),
+}
+
+
+@pytest.mark.parametrize("row", REGIMES, ids=lambda row: row.family.value)
+def test_regime_rows_match_the_readme_table(row):
+    mode, k, W, assumption, corrector, rate = README_TABLE[row.family]
+    assert (row.gamma_mode, row.assumption, row.corrector) == \
+        (mode, assumption, corrector)
+    spec = resolve_regime(k, mode, W)
+    assert spec.family is row.family
+    assert spec.assumption == assumption
+    assert spec.as_dict()["assumption"] == assumption
+    assert spec.corrector == corrector
+    assert spec.rate == pytest.approx(rate)
+
+
+def test_regime_table_has_one_row_per_family():
+    assert sorted(row.family.value for row in REGIMES) == \
+        sorted(family.value for family in RegimeFamily)
 
 
 def test_theoretical_rates():
@@ -110,10 +143,8 @@ def test_bad_k_values_rejected():
 
 
 def test_assumption_recorded():
-    assert resolve_regime(2.0, GammaMode.UNIT, DIAG).assumption \
-        is AssumptionId.CRITICAL
-    assert resolve_regime(2.5, GammaMode.K_MINUS_1, TIME_OSC).assumption \
-        is AssumptionId.STRONG_FAST_TIME
+    assert resolve_regime(2.0, GammaMode.UNIT, DIAG).assumption == 3
+    assert resolve_regime(2.5, GammaMode.K_MINUS_1, TIME_OSC).assumption == 1
 
 
 def test_as_dict_is_json_ready():
