@@ -10,7 +10,7 @@ rates against the proven exponents.
 __version__ = "0.1.0"
 
 from .errors import (BlowUp, BudgetExceeded, ChainIdentityViolation,
-                     DegenerateFit, GridMismatch, NoApplicableRegime,
+                     DegenerateFit, NoApplicableRegime,
                      NonPeriodicAntiderivative, OscpotError,
                      ResolutionViolation, SolvabilityViolation, UnsupportedK)
 from .potential import (GammaMode, ScalarSeries, TrigField,
@@ -22,16 +22,15 @@ from .correctors import (CorrectorSet, build_correctors, chi3_chain,
                          chi5_chain, effective_potential, identity_report,
                          solve_chi1, solve_chi2, solve_chi3, solve_chi7)
 from .pdesolve import (GridSpec, InitialDescriptor, InitialTerm, ProblemSpec,
-                       SourceDescriptor, SourceTerm, Trajectory, error_linf_l2,
-                       policy_grid, solve_epsilon, solve_homogenized)
+                       SourceDescriptor, SourceTerm, Trajectory, policy_grid,
+                       solve_epsilon, solve_homogenized)
 from .ratelab import (FitResult, RateReport, SweepConfig, SweepPoint,
                       fit_loglog, run_sweep, write_outputs)
 
 __all__ = [
     "OscpotError", "NonPeriodicAntiderivative", "NoApplicableRegime",
     "UnsupportedK", "SolvabilityViolation", "ChainIdentityViolation",
-    "ResolutionViolation", "BlowUp", "GridMismatch", "DegenerateFit",
-    "BudgetExceeded",
+    "ResolutionViolation", "BlowUp", "DegenerateFit", "BudgetExceeded",
     "GammaMode", "ScalarSeries", "TrigField", "descriptor_from_field",
     "field_from_descriptor", "sample_oscillated",
     "RegimeFamily", "RegimeSpec", "iteration_depth", "resolve_regime",
@@ -40,8 +39,8 @@ __all__ = [
     "effective_potential", "identity_report", "solve_chi1", "solve_chi2",
     "solve_chi3", "solve_chi7",
     "GridSpec", "InitialDescriptor", "InitialTerm", "ProblemSpec",
-    "SourceDescriptor", "SourceTerm", "Trajectory", "error_linf_l2",
-    "policy_grid", "solve_epsilon", "solve_homogenized",
+    "SourceDescriptor", "SourceTerm", "Trajectory", "policy_grid",
+    "solve_epsilon", "solve_homogenized",
     "FitResult", "RateReport", "SweepConfig", "SweepPoint", "fit_loglog",
     "run_sweep", "write_outputs",
 ]

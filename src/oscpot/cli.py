@@ -32,8 +32,7 @@ from .potential import (GammaMode, TrigField, descriptor_from_field,
                         field_from_descriptor)
 from .pdesolve import (MIN_CHECKPOINTS, GridSpec, InitialDescriptor,
                        InitialTerm, ProblemSpec, SourceDescriptor, SourceTerm,
-                       check_cost, checkpoint_distances, policy_grid,
-                       solve_pair)
+                       check_cost, policy_grid, solve_pair)
 from .ratelab import (SweepConfig, ceff_as_json, default_workers, run_sweep,
                       write_outputs)
 from .regimes import resolve_regime
@@ -113,10 +112,14 @@ def _count(block: dict, key: str, where: str, default: int | None,
 
 def _setting(cfg: dict, args, key: str, minimum: int) -> int | None:
     """A top-level count (budget, workers) from the config or, if given,
-    from its command-line flag."""
+    from its command-line flag; both must be at least `minimum`."""
     n = _count(cfg, key, "", None, minimum)
     flag = getattr(args, key)
-    return n if flag is None else flag
+    if flag is None:
+        return n
+    if flag < minimum:
+        raise ConfigError(f"'--{key}' must be an integer >= {minimum}")
+    return flag
 
 
 def load_config(path: str | Path) -> dict:
@@ -380,28 +383,25 @@ def cmd_solve(cfg: dict, args) -> int:
         grid = GridSpec(W.d, nx, dt, T, checkpoints)
     except ValueError as exc:
         raise ConfigError(f"'grid': {exc}") from exc
-    check_cost("solve", W, f, [[grid]], _setting(cfg, args, "budget", 0))
+    check_cost("solve", W, f, [grid], _setting(cfg, args, "budget", 0))
     out = _outdir(cfg, args)
     ceff = effective_potential(regime, W)
     problem = ProblemSpec(W=W, eps=eps, regime=regime, f=f, g=g)
-    err, u_eps, u_hom = solve_pair(problem, ceff, grid)
+    norms = solve_pair(problem, ceff, grid)
     grid_info = {"nx": grid.nx, "dt": grid.dt_effective, "T": grid.T,
                  "checkpoints": grid.checkpoints}
     _write_json(out / "solve.json", {
         "eps": eps,
-        "error_linf_l2": err,
-        "max_l2_eps": u_eps.max_l2,
-        "max_l2_hom": u_hom.max_l2,
+        "error_linf_l2": norms.error,
+        "max_l2_eps": norms.max_l2_eps,
+        "max_l2_hom": norms.max_l2_hom,
         "c_eff": ceff_as_json(ceff),
         "regime": regime.as_dict(),
         "grid": grid_info,
     })
     lines = ["t,l2_eps,l2_hom,l2_diff\n"]
-    for t, ne, nh, nd in zip(u_eps.times, u_eps.l2_series(),
-                             u_hom.l2_series(),
-                             checkpoint_distances(u_eps, u_hom)):
-        lines.append(f"{float(t)!r},{float(ne)!r},{float(nh)!r},"
-                     f"{float(nd)!r}\n")
+    for row in zip(norms.times, norms.l2_eps, norms.l2_hom, norms.l2_diff):
+        lines.append(",".join(repr(float(v)) for v in row) + "\n")
     (out / "checkpoint_norms.csv").write_text("".join(lines))
     _write_json(out / "manifest.json", _manifest("solve", W, {
         "regime": regime.as_dict(),
@@ -409,7 +409,7 @@ def cmd_solve(cfg: dict, args) -> int:
         "problem": cfg["problem"],
         "grid": grid_info,
     }))
-    print(f"error (max over checkpoints, L2): {err:.6e}")
+    print(f"error (max over checkpoints, L2): {norms.error:.6e}")
     return EXIT_OK
 
 
@@ -464,12 +464,15 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help=f"process fan-out over eps (default from "
-                            f"$OSCPOT_WORKERS, currently {default_workers()})")
-        p.add_argument("--budget", type=int, default=None,
-                       help="cap on the cell updates (cells times time "
-                            "steps) of all the solves of solve and sweep")
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=None,
+                           help=f"process fan-out over eps (default from "
+                                f"$OSCPOT_WORKERS, currently "
+                                f"{default_workers()})")
+        if name in ("solve", "sweep"):
+            p.add_argument("--budget", type=int, default=None,
+                           help="cap on the cell updates (cells times time "
+                                "steps) of all the solves")
     return parser
 
 

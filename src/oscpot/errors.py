@@ -51,10 +51,6 @@ class BlowUp(OscpotError):
     """A solution norm exceeded the blow-up guard during time stepping."""
 
 
-class GridMismatch(OscpotError):
-    """Two trajectories were compared on incompatible grids."""
-
-
 class DegenerateFit(OscpotError):
     """Too few usable data points remain for a log-log rate fit."""
 

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import BlowUp, BudgetExceeded, GridMismatch, ResolutionViolation
+from .errors import BlowUp, BudgetExceeded, ResolutionViolation
 from .potential import ScalarSeries, TrigField
 from .regimes import RegimeSpec
 
@@ -282,13 +282,24 @@ class Trajectory:
     times: np.ndarray
     snapshots: np.ndarray
     max_l2: float
-    label: str = ""
 
-    def l2_series(self) -> np.ndarray:
-        h = self.grid.h
-        axis = tuple(range(1, self.snapshots.ndim))
-        return h ** (self.grid.d / 2.0) * np.sqrt(
-            np.sum(self.snapshots ** 2, axis=axis))
+
+@dataclass(frozen=True)
+class PairNorms:
+    """What solve_pair measures: the discrete L2 norms of u_eps, u_hom and
+    u_eps - u_hom at each checkpoint time, and both running maxima."""
+
+    times: np.ndarray
+    l2_eps: np.ndarray
+    l2_hom: np.ndarray
+    l2_diff: np.ndarray
+    max_l2_eps: float
+    max_l2_hom: float
+
+    @property
+    def error(self) -> float:
+        """The L-infinity(0,T; L2) error: the largest checkpoint distance."""
+        return float(np.max(self.l2_diff))
 
 
 def _l2(u: np.ndarray, grid: GridSpec) -> float:
@@ -401,7 +412,7 @@ def _march(grid: GridSpec, u0: np.ndarray, step: Callable,
             max_l2 = max(max_l2, nrm)
         snaps[ci + 1] = u
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
-                      snapshots=snaps, max_l2=max_l2, label=label)
+                      snapshots=snaps, max_l2=max_l2)
 
 
 def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
@@ -464,65 +475,47 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
 
 
 # ---------------------------------------------------------------------------
-# Comparison and refinement diagnostics
+# The pair, its cost and the refinement diagnostic
 # ---------------------------------------------------------------------------
 
-def checkpoint_distances(a: Trajectory, b: Trajectory) -> np.ndarray:
-    """Discrete L2 distance of two trajectories at every checkpoint."""
-    if a.grid.d != b.grid.d or a.grid.nx != b.grid.nx:
-        raise GridMismatch(
-            f"grids differ: {a.grid.d}d nx={a.grid.nx} vs "
-            f"{b.grid.d}d nx={b.grid.nx}")
-    if a.times.shape != b.times.shape or not np.allclose(
-            a.times, b.times, rtol=1e-9, atol=1e-12):
-        raise GridMismatch("checkpoint times differ")
-    h = a.grid.h
-    axis = tuple(range(1, a.snapshots.ndim))
-    # One expression, so that numpy squares the difference in place.
-    return h ** (a.grid.d / 2.0) * np.sqrt(
-        np.sum((a.snapshots - b.snapshots) ** 2, axis=axis))
-
-
-def error_linf_l2(a: Trajectory, b: Trajectory) -> float:
-    """max over checkpoints of the discrete L2 distance."""
-    return float(np.max(checkpoint_distances(a, b)))
-
-
 def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
-               enforce_policy: bool = True
-               ) -> tuple[float, Trajectory, Trajectory]:
-    """Solve the eps-problem and its homogenized limit on one grid.
-
-    Returns their error_linf_l2 distance and both trajectories.
-    """
+               enforce_policy: bool = True) -> PairNorms:
+    """Solve the eps-problem and its homogenized limit on one grid and
+    measure both, and their distance, at every checkpoint."""
     u_eps = solve_epsilon(p, grid, enforce_policy=enforce_policy)
     u_hom = solve_homogenized(ceff, p.f, p.g, grid)
-    return error_linf_l2(u_eps, u_hom), u_eps, u_hom
+    # One checkpoint row at a time, so no difference array of the whole
+    # trajectory is built.
+    sums = np.array([(np.sum(a ** 2), np.sum(b ** 2), np.sum((a - b) ** 2))
+                     for a, b in zip(u_eps.snapshots, u_hom.snapshots)])
+    l2_eps, l2_hom, l2_diff = grid.h ** (grid.d / 2.0) * np.sqrt(sums.T)
+    return PairNorms(times=u_eps.times, l2_eps=l2_eps, l2_hom=l2_hom,
+                     l2_diff=l2_diff, max_l2_eps=u_eps.max_l2,
+                     max_l2_hom=u_hom.max_l2)
 
 
 def pair_cost(W: TrigField, f: SourceDescriptor,
               grid: GridSpec) -> tuple[int, int]:
-    """(cell updates, peak bytes) of solve_pair on `grid`: two snapshot arrays
-    and their difference, one complex profile per W mode and one per source."""
-    per_cell = 3 * (grid.checkpoints + 1) + 2 * len(W.terms) + len(f.terms)
+    """(cell updates, peak bytes) of solve_pair on `grid`: both snapshot
+    arrays, one complex profile per W mode and one per source."""
+    per_cell = 2 * (grid.checkpoints + 1) + 2 * len(W.terms) + len(f.terms)
     return 2 * grid.cell_updates(), 8 * per_cell * grid.nx ** grid.d
 
 
 def check_cost(command: str, W: TrigField, f: SourceDescriptor,
-               units: Sequence[Sequence[GridSpec]], budget: int | None,
+               grids: Sequence[GridSpec], budget: int | None,
                workers: int = 1) -> None:
-    """Raise BudgetExceeded unless the pair solves on `units`, run
-    min(workers, len(units)) units at a time, fit in MEMORY_LIMIT bytes,
-    and all of them in `budget` cell updates; a unit is the grids one
-    worker solves in turn.  Memory is checked first, as the harder limit."""
-    size, nx = max((sum(pair_cost(W, f, g)[1] for g in unit), unit[-1].nx)
-                   for unit in units)
-    need = size * max(1, min(workers, len(units)))
+    """Raise BudgetExceeded unless the pair solves on `grids`, run
+    min(workers, len(grids)) at a time, fit in MEMORY_LIMIT bytes, and all
+    of them in `budget` cell updates.  Memory is checked first, as the
+    harder limit."""
+    size, nx = max((pair_cost(W, f, g)[1], g.nx) for g in grids)
+    need = size * max(1, min(workers, len(grids)))
     if need > MEMORY_LIMIT:
         raise BudgetExceeded(
             f"{command} needs about {need / 2 ** 30:.1f} GiB for nx = {nx} "
-            f"in {units[0][0].d}d, limit is {MEMORY_LIMIT / 2 ** 30:g} GiB")
-    total = sum(pair_cost(W, f, g)[0] for unit in units for g in unit)
+            f"in {grids[0].d}d, limit is {MEMORY_LIMIT / 2 ** 30:g} GiB")
+    total = sum(pair_cost(W, f, g)[0] for g in grids)
     cap = CELL_UPDATE_CEILING if budget is None else budget
     if total > cap:
         raise BudgetExceeded(

@@ -196,15 +196,16 @@ def fit_loglog(eps, errors, floor: float = ERROR_FLOOR) -> FitResult:
 def _run_point(cfg: SweepConfig, regime: RegimeSpec, ceff, eps: float,
                grid: GridSpec) -> SweepPoint:
     problem = ProblemSpec(W=cfg.W, eps=eps, regime=regime, f=cfg.f, g=cfg.g)
-    err, u_eps, u_hom = solve_pair(problem, ceff, grid)
+    norms = solve_pair(problem, ceff, grid)
     rich = None
     if cfg.run_richardson:
         # The coarse pair is the one just solved; only the refined grid
         # is new.
         rich = refinement_residual(
-            err, solve_pair(problem, ceff, grid.refined())[0])
-    return SweepPoint(eps=eps, error=err, richardson=rich,
-                      max_l2_eps=u_eps.max_l2, max_l2_hom=u_hom.max_l2,
+            norms.error, solve_pair(problem, ceff, grid.refined()).error)
+    return SweepPoint(eps=eps, error=norms.error, richardson=rich,
+                      max_l2_eps=norms.max_l2_eps,
+                      max_l2_hom=norms.max_l2_hom,
                       nx=grid.nx, dt=grid.dt_effective,
                       steps=grid.total_steps, cells=grid.cell_updates())
 
@@ -224,8 +225,9 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     workers = min(workers, len(cfg.epsilons))
     grids = [policy_grid(eps, regime.k, regime.gamma, cfg.T, cfg.W.d,
                          cfg.checkpoints) for eps in cfg.epsilons]
-    units = [[g, g.refined()] if cfg.run_richardson else [g] for g in grids]
-    check_cost("sweep", cfg.W, cfg.f, units, cfg.budget, workers)
+    solved = grids + ([g.refined() for g in grids] if cfg.run_richardson
+                      else [])
+    check_cost("sweep", cfg.W, cfg.f, solved, cfg.budget, workers)
     run = functools.partial(_run_point, cfg, regime, ceff)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

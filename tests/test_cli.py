@@ -3,6 +3,7 @@
 Most tests call main() in process for speed; one subprocess test checks
 the installed console script end to end.
 """
+import csv
 import json
 import resource
 import subprocess
@@ -273,6 +274,21 @@ class TestSolveCommand:
         assert manifest["epsilon"] == 0.25
         assert "error (max over checkpoints, L2)" in capsys.readouterr().out
 
+    def test_solve_norms_agree_and_rerun_byte_identical(self, write_cfg,
+                                                        tmp_path):
+        cfg = base_config(epsilon=0.25, grid={"checkpoints": 8})
+        path = write_cfg(cfg)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli("solve", path, out1) == cli.EXIT_OK
+        assert run_cli("solve", path, out2) == cli.EXIT_OK
+        with open(out1 / "checkpoint_norms.csv", newline="") as fh:
+            diffs = [float(row["l2_diff"]) for row in csv.DictReader(fh)]
+        blob = json.loads((out1 / "solve.json").read_text())
+        assert diffs[0] == 0.0
+        assert max(diffs) == blob["error_linf_l2"]
+        for name in ("solve.json", "checkpoint_norms.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_under_resolved_grid_exits_4(self, write_cfg, tmp_path, capsys):
         cfg = base_config(epsilon=0.125)
         cfg["grid"] = {"nx": 32, "checkpoints": 8}  # floor is 16/eps = 128
@@ -352,6 +368,18 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert "chi1_energy: ok" in proc.stdout
         assert (outdir / "identities.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("correctors", "--workers"), ("correctors", "--budget"),
+        ("verify", "--workers"), ("verify", "--budget"),
+        ("solve", "--workers")])
+    def test_flags_belong_to_the_commands_that_read_them(self, capsys,
+                                                         command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli._parser().parse_args([command, "--config", "c.json", flag,
+                                      "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_missing_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -501,6 +529,20 @@ class TestBadValues:
         (cfg.setdefault(block, {}) if block else cfg)[key] = value
         assert run_cli(command, write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value, minimum", [
+        ("sweep", "--workers", "0", 1), ("sweep", "--workers", "-3", 1),
+        ("sweep", "--budget", "-1", 0), ("solve", "--budget", "-1", 0)])
+    def test_flag_values_are_checked_like_their_keys(
+            self, write_cfg, tmp_path, capsys, command, flag, value, minimum):
+        cfg = base_config(epsilon=0.25, sweep=dict(SWEEP_BLOCK),
+                          grid={"checkpoints": 8})
+        outdir = tmp_path / "out"
+        code = run_cli(command, write_cfg(cfg), outdir, flag, value)
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: '{flag}' must be an integer >= {minimum}\n")
+        assert not (outdir / "manifest.json").exists()
 
     def test_output_directory_that_cannot_be_made(self, write_cfg, tmp_path,
                                                   capsys):

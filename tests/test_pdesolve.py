@@ -8,17 +8,16 @@ import pytest
 import scipy.fft
 import scipy.integrate
 
-from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridMismatch, GridSpec,
+from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridSpec,
                     InitialDescriptor, InitialTerm, ProblemSpec,
                     ResolutionViolation, ScalarSeries, SourceDescriptor,
-                    SourceTerm, TrigField, effective_potential,
-                    error_linf_l2, policy_grid, resolve_regime,
-                    solve_epsilon, solve_homogenized)
+                    SourceTerm, TrigField, effective_potential, policy_grid,
+                    resolve_regime, solve_epsilon, solve_homogenized)
 from oscpot.pdesolve import (CELL_UPDATE_CEILING, DIFFUSIVE_DT_DIVISOR,
                              DT_DIVISOR, MEMORY_LIMIT, POINTS_PER_EPS,
                              POINTS_PER_EPS_DEFAULT, check_cost,
-                             check_resolution, checkpoint_distances,
-                             pair_cost, refinement_residual, solve_pair)
+                             check_resolution, pair_cost,
+                             refinement_residual, solve_pair)
 
 DIAG = TrigField.from_cos(1, [1], -1)
 G1 = InitialDescriptor((InitialTerm(1.0, (1,)),))
@@ -271,8 +270,9 @@ def test_pair_starts_from_identical_snapshots():
     g = InitialDescriptor((InitialTerm(1.0, (1,)), InitialTerm(0.4, (5,))))
     p = ProblemSpec(W=DIAG, eps=0.25, regime=r, f=F0, g=g)
     grid = GridSpec(1, 64, 1.0 / 512, 0.0625, checkpoints=8)
-    _, u_eps, u_hom = solve_pair(p, effective_potential(r, DIAG), grid)
-    assert checkpoint_distances(u_eps, u_hom)[0] == 0.0
+    norms = solve_pair(p, effective_potential(r, DIAG), grid)
+    assert norms.l2_diff[0] == 0.0
+    assert norms.l2_eps[0] == norms.l2_hom[0]
 
 
 # -- exact oscillated reaction --------------------------------------------
@@ -349,45 +349,63 @@ def test_epsilon_solver_dimension_mismatch():
         solve_epsilon(p, GridSpec(2, 16, 1e-3, 0.5, checkpoints=10))
 
 
-# -- trajectories and error measures --------------------------------------
+# -- the pair's checkpoint norms ---------------------------------------------
 
-def test_trajectory_l2_series_and_max():
+def l2_rows(snapshots, grid):
+    """Discrete L2 norm of each checkpoint snapshot."""
+    return np.array([grid.h ** (grid.d / 2.0) * np.linalg.norm(row)
+                     for row in snapshots])
+
+
+def heat_problem(grid):
+    """The eps-problem with W = 0: the heat equation, marched in x."""
+    r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
+    return ProblemSpec(W=TrigField.zero(grid.d), eps=0.25, regime=r, f=F0,
+                       g=G1)
+
+
+def test_pair_norm_columns_and_maxima():
     grid = GridSpec(1, 32, 1e-3, 0.2, checkpoints=10)
-    traj = solve_homogenized(0.0, F0, G1, grid)
-    series = traj.l2_series()
-    assert len(series) == 11
-    assert series[0] == pytest.approx(math.sqrt(0.5), abs=1e-3)
-    assert traj.max_l2 >= series.max() - 1e-12
-    # pure decay: the max is the initial norm
-    assert traj.max_l2 == pytest.approx(series[0], abs=1e-12)
+    r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
+    p = ProblemSpec(W=DIAG, eps=0.25, regime=r, f=F0, g=G1)
+    ceff = effective_potential(r, DIAG)
+    norms = solve_pair(p, ceff, grid, enforce_policy=False)
+    u_eps = solve_epsilon(p, grid, enforce_policy=False)
+    u_hom = solve_homogenized(ceff, F0, G1, grid)
+    assert np.array_equal(norms.times, grid.checkpoint_times())
+    for column, traj in ((norms.l2_eps, u_eps), (norms.l2_hom, u_hom)):
+        assert len(column) == 11
+        np.testing.assert_allclose(column, l2_rows(traj.snapshots, grid),
+                                   rtol=1e-13)
+    np.testing.assert_allclose(
+        norms.l2_diff, l2_rows(u_eps.snapshots - u_hom.snapshots, grid),
+        rtol=1e-13, atol=1e-17)
+    assert norms.l2_hom[0] == pytest.approx(math.sqrt(0.5), abs=1e-3)
+    assert (norms.max_l2_eps, norms.max_l2_hom) == (u_eps.max_l2,
+                                                    u_hom.max_l2)
+    assert norms.max_l2_eps >= norms.l2_eps.max() - 1e-12
+    assert norms.max_l2_hom >= norms.l2_hom.max() - 1e-12
+    assert norms.error == norms.l2_diff.max()
 
 
-def test_error_linf_l2_zero_against_self():
+def test_one_problem_in_both_marches_measures_round_off():
     grid = GridSpec(1, 16, 1e-2, 0.1, checkpoints=10)
-    traj = solve_homogenized(-0.1, F0, G1, grid)
-    assert error_linf_l2(traj, traj) == 0.0
-
-
-def test_error_linf_l2_grid_mismatch():
-    g1 = GridSpec(1, 16, 1e-2, 0.1, checkpoints=10)
-    g2 = GridSpec(1, 24, 1e-2, 0.1, checkpoints=10)
-    a = solve_homogenized(0.0, F0, G1, g1)
-    b = solve_homogenized(0.0, F0, G1, g2)
-    with pytest.raises(GridMismatch, match="grids differ"):
-        error_linf_l2(a, b)
-    g3 = GridSpec(1, 16, 1e-2, 0.2, checkpoints=10)
-    c = solve_homogenized(0.0, F0, G1, g3)
-    with pytest.raises(GridMismatch, match="times"):
-        error_linf_l2(a, c)
+    norms = solve_pair(heat_problem(grid), 0.0, grid, enforce_policy=False)
+    assert norms.l2_diff[0] == 0.0
+    assert norms.error <= 1e-14 * norms.max_l2_eps
+    # pure decay: the max is the initial norm
+    assert norms.max_l2_hom == pytest.approx(norms.l2_hom[0], abs=1e-12)
+    assert norms.max_l2_eps == pytest.approx(norms.l2_eps[0], abs=1e-12)
 
 
 def test_known_separation_is_measured():
     grid = GridSpec(1, 32, 1e-3, 0.25, checkpoints=10)
-    a = solve_homogenized(0.0, F0, G1, grid)
-    b = solve_homogenized(1.0, F0, G1, grid)
-    # constant reaction commutes with diffusion: b(t) = e^{-t} a(t) exactly
-    gaps = (1.0 - np.exp(-a.times)) * a.l2_series()
-    assert error_linf_l2(a, b) == pytest.approx(gaps.max(), rel=1e-12)
+    norms = solve_pair(heat_problem(grid), 1.0, grid, enforce_policy=False)
+    # constant reaction commutes with diffusion: u_hom(t) = e^{-t} u_eps(t)
+    gaps = (1.0 - np.exp(-norms.times)) * norms.l2_eps
+    assert norms.error == pytest.approx(gaps.max(), rel=1e-12)
+    np.testing.assert_allclose(norms.l2_hom, np.exp(-norms.times)
+                               * norms.l2_eps, rtol=1e-12)
 
 
 # -- guards ----------------------------------------------------------------
@@ -401,7 +419,7 @@ def test_blowup_guard_trips():
 def richardson(p, grid, **kw):
     """Refinement residual of the error under one joint refinement."""
     ceff = effective_potential(p.regime, p.W)
-    return refinement_residual(*(solve_pair(p, ceff, g, **kw)[0]
+    return refinement_residual(*(solve_pair(p, ceff, g, **kw).error
                                  for g in (grid, grid.refined())))
 
 
@@ -458,28 +476,30 @@ def test_pair_memory_estimate_bounds_the_traced_peak():
 
 
 def test_cost_gate_counts_updates_and_memory_per_worker():
-    # Units whose pair needs between 2 and 4 GiB; no grid allocates.
+    # Grids whose pair needs between 2 and 4 GiB; no grid allocates.
     W = frozen_w(2)
-    big = GridSpec(2, 1024, 1.0 / 64, 1.5, checkpoints=96)
+    big = GridSpec(2, 1200, 1.0 / 64, 1.5, checkpoints=96)
     assert 2 * 2 ** 30 < pair_cost(W, F0, big)[1] < MEMORY_LIMIT
-    units = [[big], [big]]
+    grids = [big, big]
     total = 2 * 2 * big.cell_updates()
-    check_cost("sweep", W, F0, units, total, workers=1)
-    with pytest.raises(BudgetExceeded, match="GiB for nx = 1024 in 2d"):
-        check_cost("sweep", W, F0, units, total, workers=2)
+    check_cost("sweep", W, F0, grids, total, workers=1)
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 1200 in 2d"):
+        check_cost("sweep", W, F0, grids, total, workers=2)
     with pytest.raises(BudgetExceeded, match="cell updates, budget is"):
-        check_cost("sweep", W, F0, units, total - 1)
+        check_cost("sweep", W, F0, grids, total - 1)
 
 
-def test_cost_gate_holds_the_coarse_pair_during_the_refined_one():
+def test_cost_gate_prices_a_certified_point_by_its_larger_pair():
+    # A point keeps only the norms of its coarse pair while the refined
+    # pair runs, so the two pairs together may exceed the limit.
     W = frozen_w(2)
-    coarse = GridSpec(2, 730, 1.0 / 64, 1.0, checkpoints=64)
+    coarse = GridSpec(2, 900, 1.0 / 64, 1.0, checkpoints=64)
     fine = coarse.refined()
     need = [pair_cost(W, F0, g)[1] for g in (coarse, fine)]
     assert need[1] < MEMORY_LIMIT < sum(need)
-    check_cost("sweep", W, F0, [[fine]], None)
-    with pytest.raises(BudgetExceeded, match="GiB for nx = 1461"):
-        check_cost("sweep", W, F0, [[coarse, fine]], None)
+    check_cost("sweep", W, F0, [coarse, fine], None)
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 1801 in 2d"):
+        check_cost("sweep", W, F0, [coarse, fine] * 2, None, workers=2)
 
 
 def test_cost_gate_has_a_ceiling_without_a_budget():
@@ -487,7 +507,7 @@ def test_cost_gate_has_a_ceiling_without_a_budget():
     assert 2 * grid.cell_updates() > CELL_UPDATE_CEILING
     with pytest.raises(BudgetExceeded,
                        match=f"budget is {CELL_UPDATE_CEILING}"):
-        check_cost("solve", DIAG, F0, [[grid]], None)
+        check_cost("solve", DIAG, F0, [grid], None)
 
 
 @pytest.mark.parametrize("T, dt", [(1e308, 1e-3), (1e-320, 1e-3),

@@ -350,6 +350,6 @@ def test_sweep_point_solves_each_grid_pair_once(monkeypatch):
     problem = ProblemSpec(W=cfg.W, eps=p0.eps, regime=report.regime,
                           f=cfg.f, g=cfg.g)
     grid = policy_grid(p0.eps, 2.0, 1.0, cfg.T, 1, cfg.checkpoints)
-    fresh = [solve_pair(problem, report.ceff, g)[0]
+    fresh = [solve_pair(problem, report.ceff, g).error
              for g in (grid, grid.refined())]
     assert p0.richardson == refinement_residual(*fresh)
