@@ -110,9 +110,14 @@ def _count(block: dict, key: str, where: str, default: int | None,
     return int(block[key])
 
 
-def _setting(cfg: dict, args, key: str, minimum: int) -> int | None:
+#: The top-level counts every command checks, with their smallest values.
+_SETTING_MINIMUM = {"budget": 0, "workers": 1}
+
+
+def _setting(cfg: dict, args, key: str) -> int | None:
     """A top-level count (budget, workers) from the config or, if given,
-    from its command-line flag; both must be at least `minimum`."""
+    from its command-line flag; both must be at least its minimum."""
+    minimum = _SETTING_MINIMUM[key]
     n = _count(cfg, key, "", None, minimum)
     flag = getattr(args, key)
     if flag is None:
@@ -143,6 +148,9 @@ def validate_config(cfg: dict, command: str) -> None:
     for key in _REQUIRED[command]:
         if key not in cfg:
             raise ConfigError(f"missing key '{key}' (required by {command})")
+    # Checked for every command, also those that do not read them.
+    for key, minimum in _SETTING_MINIMUM.items():
+        _count(cfg, key, "", None, minimum)
     _require_keys(cfg["potential"], {"d", "modes"}, {"modes"}, "potential")
     _require_keys(cfg["regime"], {"k", "gamma_mode", "sign_override"}, {"k"},
                   "regime")
@@ -251,8 +259,8 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
     limits = {key: _number(block, key, "sweep",
                            default=getattr(SweepConfig, key))
               for key in ("slope_tolerance", "r2_min", "richardson_max")}
-    budget = _setting(cfg, args, "budget", 0)
-    workers = _setting(cfg, args, "workers", 1)
+    budget = _setting(cfg, args, "budget")
+    workers = _setting(cfg, args, "workers")
     try:
         return SweepConfig(
             W=W,
@@ -383,7 +391,7 @@ def cmd_solve(cfg: dict, args) -> int:
         grid = GridSpec(W.d, nx, dt, T, checkpoints)
     except ValueError as exc:
         raise ConfigError(f"'grid': {exc}") from exc
-    check_cost("solve", W, f, [grid], _setting(cfg, args, "budget", 0))
+    check_cost("solve", W, f, [grid], _setting(cfg, args, "budget"))
     out = _outdir(cfg, args)
     ceff = effective_potential(regime, W)
     problem = ProblemSpec(W=W, eps=eps, regime=regime, f=f, g=g)

@@ -22,6 +22,19 @@ coefficients: c_eff does not depend on x, so its reaction factor is a
 scalar and the CN step a per-coefficient gain.  The transform keeps the
 discrete L2 norm, so the blow-up guard reads the same as in x.
 
+Block stepping: the march takes the steps of a checkpoint interval in
+blocks.  For each block it computes the long-double half-step boundary
+times once, and the eps-problem builds the reaction factors of all the
+block's half-steps in one vectorised pass (row j is the multiplier over
+the j-th half-step), with the same per-mode arithmetic, in the same mode
+order, as a factor built for one half-step alone, so the result does not
+depend on the blocking.  Steps then run one at a time: factor row 2i,
+CN, row 2i+1, and the blow-up guard after each.  A block holds at most
+BLOCK_CELLS cells (steps times grid cells), so its factor arrays stay
+a few hundred KiB; a grid with more cells than that (every 2-D policy
+grid) takes one step per block.  The sine transforms call pocketfft's
+DST-I directly, which skips scipy.fft's argument handling on every call.
+
 Resolution policy for the eps-problem: at least 16 grid points per eps
 (spatial oscillation) and dt no larger than min(eps^k, eps^(gamma+1))/8;
 eps^k resolves the potential's time oscillation, eps^(gamma+1) keeps the
@@ -40,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
+from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
 from .errors import BlowUp, BudgetExceeded, ResolutionViolation
 from .potential import ScalarSeries, TrigField
@@ -65,6 +78,11 @@ MEMORY_LIMIT = 4 * 2 ** 30
 #: Cell updates one command may run when no budget is given: about a
 #: quarter of an hour at the ~10 M cell-updates/s of a 1-D solve.
 CELL_UPDATE_CEILING = 10 ** 10
+#: Most cells (time steps times grid cells) one block of the march steps;
+#: it bounds the reaction factors built at once (see the module docstring).
+#: Blocks of 2^14 cells stepped the 1-D sweep grids (nx 256 to 1025) no
+#: faster than these and raised a sweep's peak RSS by about 1 MiB.
+BLOCK_CELLS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -305,13 +323,24 @@ class PairNorms:
 def _l2(u: np.ndarray, grid: GridSpec) -> float:
     # Composite trapezoid over the closed box; boundary values are zero,
     # so the interior sum is the whole quadrature.
-    return grid.h ** (grid.d / 2.0) * float(np.linalg.norm(u.ravel()))
+    # sqrt(x.x) is what np.linalg.norm runs for a real vector.
+    x = u.ravel()
+    return grid.h ** (grid.d / 2.0) * math.sqrt(x.dot(x))
 
 
 # ---------------------------------------------------------------------------
 # Strang pieces: CN diffusion diagonalized by the type-I sine transform,
 # and the exact reaction factor of the eps-problem
 # ---------------------------------------------------------------------------
+
+def _dst(u: np.ndarray, inorm: int, out: np.ndarray | None = None
+         ) -> np.ndarray:
+    """DST-I over every axis of u, as scipy.fft.dstn(type=1) computes it:
+    inorm 0 is the forward transform, 2 its inverse (idstn) and 1 the
+    orthonormal one, which is its own inverse and keeps the L2 norm.
+    out may be u itself."""
+    return _pocketfft_dst(u, 1, tuple(range(u.ndim)), inorm, out, 1)
+
 
 class _Diffusion:
     def __init__(self, grid: GridSpec,
@@ -326,24 +355,16 @@ class _Diffusion:
         self.half_dt = 0.5 * dt
         self.source_fn = source_fn
 
-    def step(self, u: np.ndarray, t_a, t_b) -> np.ndarray:
-        uh = sp_fft.dstn(u, type=1)
-        if self.source_fn is None:
-            uh = self.gain * uh
-        else:
-            f_sum = self.source_fn(float(t_a)) + self.source_fn(float(t_b))
-            fh = sp_fft.dstn(self.half_dt * f_sum, type=1)
-            uh = self.gain * uh + self.solve_weight * fh
-        return sp_fft.idstn(uh, type=1)
-
-
-def _ortho_dst(u: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I; it is its own inverse and keeps the L2 norm."""
-    return sp_fft.dstn(u, type=1, norm="ortho")
+    def step(self, u: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
+        uh = self.gain * _dst(u, 0)
+        if self.source_fn is not None:
+            f_sum = self.source_fn(t_a) + self.source_fn(t_b)
+            uh += self.solve_weight * _dst(self.half_dt * f_sum, 0)
+        return _dst(uh, 2, uh)
 
 
 class _OscillatedReaction:
-    """Multiplier exp(eps^(-gamma) * int_[ta,tb] W(x/eps, s/eps^k) ds).
+    """Multipliers exp(eps^(-gamma) * int_[ta,tb] W(x/eps, s/eps^k) ds).
 
     Per mode (m, n, c) the time integral over [ta, tb] is
         c * exp(2 pi i m.x/eps) * eps^k (e(n tb/eps^k) - e(n ta/eps^k)) / (2 pi i n)
@@ -358,6 +379,7 @@ class _OscillatedReaction:
         self.eps_k_ld = eps_ld ** np.longdouble(k)
         self.eps_k = float(self.eps_k_ld)
         self.scale = float(eps_ld ** np.longdouble(-gamma))
+        self.d = grid.d
         ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
               .astype(float) for x in grid.mesh()]
         self.spatial: list[tuple[int, np.ndarray]] = []
@@ -366,21 +388,21 @@ class _OscillatedReaction:
                         np.zeros(grid.shape))
             self.spatial.append((n, c * np.exp(2j * math.pi * phase)))
 
-    def _tau(self, t_ld) -> float:
-        return float(np.remainder(t_ld / self.eps_k_ld, np.longdouble(1.0)))
-
-    def factor(self, ta_ld, tb_ld) -> np.ndarray:
-        tau_a = self._tau(ta_ld)
-        tau_b = self._tau(tb_ld)
-        total: np.ndarray | complex = 0.0 + 0.0j
+    def _factors(self, times: np.ndarray) -> np.ndarray:
+        """Row j: the multiplier over [times[j], times[j+1]] (long double
+        times).  The modes are summed in W's order for every row at once."""
+        tau = np.remainder(times / self.eps_k_ld,
+                           np.longdouble(1.0)).astype(float)
+        column = (len(times) - 1,) + (1,) * self.d
+        total = np.zeros(column, dtype=complex)
         for n, s in self.spatial:
             if n == 0:
-                total = total + float(tb_ld - ta_ld) * s
+                weight = np.diff(times).astype(float)
             else:
                 two_pi_in = 2j * math.pi * n
-                weight = self.eps_k * (np.exp(two_pi_in * tau_b)
-                                       - np.exp(two_pi_in * tau_a)) / two_pi_in
-                total = total + weight * s
+                e = np.exp(two_pi_in * tau)
+                weight = self.eps_k * (e[1:] - e[:-1]) / two_pi_in
+            total = total + weight.reshape(column) * s
         return np.exp(self.scale * np.real(total))
 
 
@@ -388,28 +410,43 @@ class _OscillatedReaction:
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def _march(grid: GridSpec, u0: np.ndarray, step: Callable,
+def _block_steps(grid: GridSpec) -> int:
+    """Steps in a full block: BLOCK_CELLS cells, at least one step and at
+    most a checkpoint interval."""
+    return max(1, min(grid.steps_per_interval,
+                      BLOCK_CELLS // grid.nx ** grid.d))
+
+
+def _march(grid: GridSpec, u0: np.ndarray, block: Callable,
            label: str) -> Trajectory:
-    """Run step(u, t_a, t_m, t_b) (one Strang step, long double times) to T."""
+    """Run the march to T in blocks of steps (see the module docstring).
+
+    block(times) gets the long-double boundary times t_0 < ... < t_2s of
+    a block's half-steps and returns step(u, i), which advances u over
+    step i, from times[2i] through times[2i+1] to times[2i+2]."""
     half_ld = np.longdouble(grid.interval) / grid.steps_per_interval / 2
+    per_block = _block_steps(grid)
+    per_interval = grid.steps_per_interval
     u = u0
     snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
     snaps[0] = u
     max_l2 = _l2(u, grid)
-    step_index = 0
     for ci in range(grid.checkpoints):
-        for _ in range(grid.steps_per_interval):
-            t_a = np.longdouble(2 * step_index) * half_ld
-            t_m = np.longdouble(2 * step_index + 1) * half_ld
-            t_b = np.longdouble(2 * step_index + 2) * half_ld
-            u = step(u, t_a, t_m, t_b)
-            step_index += 1
-            nrm = _l2(u, grid)
-            if not math.isfinite(nrm) or nrm > BLOWUP_LIMIT:
-                raise BlowUp(
-                    f"{label}: L2 norm {nrm:.3e} at "
-                    f"t = {float(t_b):.6g} exceeds {BLOWUP_LIMIT:.0e}")
-            max_l2 = max(max_l2, nrm)
+        end = (ci + 1) * per_interval
+        for first in range(ci * per_interval, end, per_block):
+            count = min(per_block, end - first)
+            times = np.arange(2 * first, 2 * (first + count) + 1,
+                              dtype=np.longdouble) * half_ld
+            step = block(times)
+            for i in range(count):
+                u = step(u, i)
+                nrm = _l2(u, grid)
+                if not math.isfinite(nrm) or nrm > BLOWUP_LIMIT:
+                    raise BlowUp(
+                        f"{label}: L2 norm {nrm:.3e} at "
+                        f"t = {float(times[2 * i + 2]):.6g} exceeds "
+                        f"{BLOWUP_LIMIT:.0e}")
+                max_l2 = max(max_l2, nrm)
         snaps[ci + 1] = u
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
                       snapshots=snaps, max_l2=max_l2)
@@ -440,12 +477,18 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
     diffuse = ((lambda u, t_a, t_b: u) if disable_diffusion
                else _Diffusion(grid, source_fn).step)
 
-    def step(u, t_a, t_m, t_b):
-        u = u * reaction.factor(t_a, t_m)
-        u = diffuse(u, t_a, t_b)
-        return u * reaction.factor(t_m, t_b)
+    def block(times):
+        factors = reaction._factors(times)
+        t = times.astype(float).tolist()
 
-    return _march(grid, p.g.build(grid), step, label=f"eps={p.eps:g}")
+        def step(u, i):
+            u = u * factors[2 * i]
+            u = diffuse(u, t[2 * i], t[2 * i + 2])
+            return u * factors[2 * i + 1]
+
+        return step
+
+    return _march(grid, p.g.build(grid), block, label=f"eps={p.eps:g}")
 
 
 def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
@@ -456,21 +499,26 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
         ceff = ScalarSeries.constant(ceff)
     cn = _Diffusion(grid)
     sources = [(term, cn.solve_weight * cn.half_dt
-                * _ortho_dst(_sine_profile(grid, term.j)))
+                * _dst(_sine_profile(grid, term.j), 1))
                for term in f.terms]
 
-    def step(v, t_a, t_m, t_b):
-        a, m, b = float(t_a), float(t_m), float(t_b)
-        v = cn.gain * (math.exp(-ceff.definite_integral(a, m)) * v)
-        for term, s_hat in sources:
-            v = v + (term.amplitude(a) + term.amplitude(b)) * s_hat
-        return math.exp(-ceff.definite_integral(m, b)) * v
+    def block(times):
+        t = times.astype(float).tolist()
+
+        def step(v, i):
+            a, m, b = t[2 * i], t[2 * i + 1], t[2 * i + 2]
+            v = cn.gain * (math.exp(-ceff.definite_integral(a, m)) * v)
+            for term, s_hat in sources:
+                v = v + (term.amplitude(a) + term.amplitude(b)) * s_hat
+            return math.exp(-ceff.definite_integral(m, b)) * v
+
+        return step
 
     u0 = g.build(grid)
-    traj = _march(grid, _ortho_dst(u0), step, label="homogenized")
+    traj = _march(grid, _dst(u0, 1), block, label="homogenized")
     traj.snapshots[0] = u0
     for i in range(1, grid.checkpoints + 1):
-        traj.snapshots[i] = _ortho_dst(traj.snapshots[i])
+        _dst(traj.snapshots[i], 1, traj.snapshots[i])
     return traj
 
 
@@ -497,9 +545,14 @@ def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
 def pair_cost(W: TrigField, f: SourceDescriptor,
               grid: GridSpec) -> tuple[int, int]:
     """(cell updates, peak bytes) of solve_pair on `grid`: both snapshot
-    arrays, one complex profile per W mode and one per source."""
+    arrays, one complex profile per W mode and one per source, and one
+    block of reaction factors.  A block's half-step rows (two per step)
+    peak at 6 doubles per cell: the factors of the block before, and the
+    complex mode sum and mode product of the block being built."""
+    cells = grid.nx ** grid.d
     per_cell = 2 * (grid.checkpoints + 1) + 2 * len(W.terms) + len(f.terms)
-    return 2 * grid.cell_updates(), 8 * per_cell * grid.nx ** grid.d
+    block = 2 * 6 * _block_steps(grid) * cells
+    return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
 
 
 def check_cost(command: str, W: TrigField, f: SourceDescriptor,

@@ -390,9 +390,23 @@ def sample_oscillated(W: TrigField, eps: float, k: float, gamma: float, x, t: fl
 # Descriptor I/O
 # ---------------------------------------------------------------------------
 
+#: Largest magnitude of a mode index (see `_entry_number`).
+INDEX_LIMIT = 2 ** 26
+
+
 def _entry_number(v, what: str, integer: bool = False):
     """A JSON number of a mode entry: a finite float, or an int for an
-    index; bools, other types and fractional indices are rejected."""
+    index; bools, other types and fractional indices are rejected.
+
+    An index must satisfy |v| <= 2^26.  The algebra is exact only while
+    the integers it turns into doubles stay within 2^53, the range in
+    which a double holds every integer: the indices themselves (2 pi i n,
+    2 pi i m_j), the products of two indices (n^2, m_j m_l, m_j n) and
+    |m|^2 = sum_j m_j^2 in |2 pi m|^2 = 4 pi^2 |m|^2.  With |v| <= 2^26
+    every product of two indices is at most 2^52 in magnitude and |m|^2
+    is at most d 2^52 <= 2^53 for d <= 2; a larger index leaves that
+    range, as m = 2^60 does at its square 2^120.
+    """
     kind = "an integer" if integer else "a number"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{what} must be {kind}, got {v!r}")
@@ -400,6 +414,10 @@ def _entry_number(v, what: str, integer: bool = False):
         raise ValueError(f"{what} = {v!r} is not finite")
     if integer and v != int(v):
         raise ValueError(f"{what} must be {kind}, got {v!r}")
+    if integer and abs(v) > INDEX_LIMIT:
+        raise ValueError(
+            f"{what} = {v!r} exceeds 2^26 in magnitude; index products "
+            f"would leave 2^53, the range of integers a double holds exactly")
     return int(v) if integer else float(v)
 
 

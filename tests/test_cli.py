@@ -502,7 +502,7 @@ class TestBadValues:
 
     @pytest.mark.parametrize("key, value", [
         ("n", 0.5), ("m", [1.9]), ("m", [True]), ("m", [None]), ("n", None),
-        ("re", None), ("re", [1]),
+        ("re", None), ("re", [1]), ("m", [2 ** 60]), ("n", -2 ** 26 - 1),
     ])
     def test_mode_entry_numbers(self, write_cfg, tmp_path, capsys, key,
                                 value):
@@ -521,6 +521,13 @@ class TestBadValues:
         ("solve", "grid", "dt", "1e-4", "'grid.dt' must be a number"),
         ("verify", "output", "dir", [1], "'output.dir' must be a string"),
         ("verify", "potential", "d", True, "'potential.d' must be 1 or 2"),
+        # Checked by every command, also those that do not read them.
+        ("verify", None, "workers", -5, "'workers' must be an integer >= 1"),
+        ("verify", None, "budget", -7, "'budget' must be an integer >= 0"),
+        ("correctors", None, "workers", -5,
+         "'workers' must be an integer >= 1"),
+        ("correctors", None, "budget", -7, "'budget' must be an integer >= 0"),
+        ("solve", None, "workers", -5, "'workers' must be an integer >= 1"),
     ])
     def test_config_values_are_checked(self, write_cfg, tmp_path, capsys,
                                        command, block, key, value, message):

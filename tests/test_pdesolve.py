@@ -1,6 +1,7 @@
 """Solver mechanics: grids, policy, exact reaction, CN diffusion, guards."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,10 @@ from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridSpec,
                     ResolutionViolation, ScalarSeries, SourceDescriptor,
                     SourceTerm, TrigField, effective_potential, policy_grid,
                     resolve_regime, solve_epsilon, solve_homogenized)
-from oscpot.pdesolve import (CELL_UPDATE_CEILING, DIFFUSIVE_DT_DIVISOR,
-                             DT_DIVISOR, MEMORY_LIMIT, POINTS_PER_EPS,
-                             POINTS_PER_EPS_DEFAULT, check_cost,
-                             check_resolution, pair_cost,
+from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
+                             DIFFUSIVE_DT_DIVISOR, DT_DIVISOR, MEMORY_LIMIT,
+                             POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT, _dst,
+                             check_cost, check_resolution, pair_cost,
                              refinement_residual, solve_pair)
 
 DIAG = TrigField.from_cos(1, [1], -1)
@@ -409,6 +410,129 @@ def test_known_separation_is_measured():
 
 
 # -- guards ----------------------------------------------------------------
+
+# -- block stepping ---------------------------------------------------------
+
+def per_step_march(p, grid):
+    """The eps march one step at a time: each half-step's reaction factor
+    built alone, the sine transforms through scipy.fft.  Returns the
+    snapshots and the running norm maximum, or raises BlowUp."""
+    eps_ld = np.longdouble(p.eps)
+    eps_k_ld = eps_ld ** np.longdouble(p.regime.k)
+    eps_k = float(eps_k_ld)
+    scale = float(eps_ld ** np.longdouble(-p.regime.gamma))
+    ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
+          .astype(float) for x in grid.mesh()]
+    spatial = [(n, c * np.exp(2j * math.pi * sum(
+        (mj * y for mj, y in zip(m, ys) if mj), np.zeros(grid.shape))))
+        for m, n, c in p.W.terms]
+
+    def tau(t):
+        return float(np.remainder(t / eps_k_ld, np.longdouble(1.0)))
+
+    def factor(ta, tb):
+        total = 0.0 + 0.0j
+        for n, s in spatial:
+            if n == 0:
+                total = total + float(tb - ta) * s
+            else:
+                two_pi_in = 2j * math.pi * n
+                weight = eps_k * (np.exp(two_pi_in * tau(tb))
+                                  - np.exp(two_pi_in * tau(ta))) / two_pi_in
+                total = total + weight * s
+        return np.exp(scale * np.real(total))
+
+    h, dt = grid.h, grid.dt_effective
+    lam1 = -(4.0 / h ** 2) * np.sin(np.arange(1, grid.nx + 1)
+                                    * math.pi * h / 2.0) ** 2
+    lam = lam1 if grid.d == 1 else lam1[:, None] + lam1[None, :]
+    z = 0.5 * dt * lam
+    gain, solve_weight = (1.0 + z) / (1.0 - z), 1.0 / (1.0 - z)
+    source = p.f.compile(grid)
+    half = np.longdouble(grid.interval) / grid.steps_per_interval / 2
+    u = p.g.build(grid)
+    snaps = [u]
+    max_l2 = h ** (grid.d / 2.0) * float(np.linalg.norm(u.ravel()))
+    for i in range(grid.total_steps):
+        ta, tm, tb = (np.longdouble(j) * half for j in (2 * i, 2 * i + 1,
+                                                         2 * i + 2))
+        u = u * factor(ta, tm)
+        uh = gain * scipy.fft.dstn(u, type=1)
+        if source is not None:
+            f_sum = source(float(ta)) + source(float(tb))
+            uh = uh + solve_weight * scipy.fft.dstn(0.5 * dt * f_sum, type=1)
+        u = scipy.fft.idstn(uh, type=1) * factor(tm, tb)
+        nrm = h ** (grid.d / 2.0) * float(np.linalg.norm(u.ravel()))
+        if not math.isfinite(nrm) or nrm > 1e12:
+            raise BlowUp(f"L2 norm {nrm:.3e} at t = {float(tb):.6g}")
+        max_l2 = max(max_l2, nrm)
+        if (i + 1) % grid.steps_per_interval == 0:
+            snaps.append(u)
+    return np.array(snaps), max_l2
+
+
+def spans_blocks(grid):
+    """True when a checkpoint interval takes several blocks and ends in a
+    partial one."""
+    per_block = BLOCK_CELLS // grid.nx ** grid.d
+    return (1 < per_block < grid.steps_per_interval
+            and grid.steps_per_interval % per_block != 0)
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(1, 400, 1.0 / (8 * 37 * 16), 1.0 / 16, checkpoints=8),
+    GridSpec(2, 20, 1.0 / (8 * 23 * 64), 1.0 / 64, checkpoints=8),
+], ids=["1d", "2d"])
+def test_block_march_matches_the_per_step_march_bit_for_bit(grid):
+    assert spans_blocks(grid)
+    d = grid.d
+    one = (1,) * d
+    # An n = 0 mode and an n != 0 mode, with a source term.
+    W = (TrigField.from_cos(d, one, 0)
+         + TrigField.from_cos(d, (2,) * d, -1, 0.5))
+    # k = 3: t/eps^k runs to 32 periods, so the torus reduction matters.
+    regime = resolve_regime(3.0, GammaMode.UNIT, W)
+    p = ProblemSpec(W=W, eps=0.125, regime=regime,
+                    f=SourceDescriptor((SourceTerm(1.5, one, -0.3, 7.0),)),
+                    g=InitialDescriptor((InitialTerm(1.0, one),
+                                         InitialTerm(0.3, (3,) * d))))
+    traj = solve_epsilon(p, grid, enforce_policy=False)
+    snaps, max_l2 = per_step_march(p, grid)
+    assert np.array_equal(traj.snapshots, snaps)
+    assert traj.max_l2 == max_l2
+
+
+def test_blowup_inside_a_block_reports_the_per_step_time():
+    grid = GridSpec(1, 400, 1.0 / (8 * 37 * 16), 1.0 / 16, checkpoints=8)
+    assert spans_blocks(grid)
+    W = TrigField(1, [(((0,), 0), 120.0 + 0.0j)])
+    p = ProblemSpec(W=W, eps=0.25, regime=resolve_regime(2.0, GammaMode.UNIT,
+                                                          DIAG),
+                    f=F0, g=G1)
+    with pytest.raises(BlowUp) as want:
+        per_step_march(p, grid)
+    with pytest.raises(BlowUp) as got:
+        solve_epsilon(p, grid, enforce_policy=False)
+    t = re.search(r"t = (\S+)", str(want.value)).group(1)
+    assert f"t = {t} " in str(got.value)
+    # The step that tripped the guard is neither the first nor the last of
+    # its block.
+    per_block = BLOCK_CELLS // grid.nx
+    i = round(float(t) / grid.dt_effective) - 1
+    assert 0 < i % grid.steps_per_interval % per_block < per_block - 1
+
+
+@pytest.mark.parametrize("shape", [(256,), (513,), (1025,), (64, 64)])
+def test_direct_sine_transform_is_scipys(shape):
+    u = np.random.default_rng(7).standard_normal(shape)
+    forward = scipy.fft.dstn(u, type=1)
+    assert np.array_equal(_dst(u, 0), forward)
+    assert np.array_equal(_dst(forward, 1), scipy.fft.dstn(forward, type=1,
+                                                           norm="ortho"))
+    want = scipy.fft.idstn(forward, type=1)
+    assert np.array_equal(_dst(forward, 2), want)
+    assert np.array_equal(_dst(forward, 2, forward), want)
+
 
 def test_blowup_guard_trips():
     grid = GridSpec(1, 16, 1e-3, 0.1, checkpoints=10)

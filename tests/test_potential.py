@@ -360,6 +360,24 @@ def test_descriptor_rejects_bad_input():
                                {"m": [1, 1], "n": 0, "re": 1.0}])
 
 
+@pytest.mark.parametrize("entry", [
+    {"m": [2 ** 26 + 1], "n": 0}, {"m": [1, -2 ** 26 - 1], "n": 0},
+    {"m": [1], "n": 2 ** 26 + 1}, {"m": [2 ** 60], "n": 0},
+    {"m": [1e20], "n": 0},
+])
+def test_descriptor_rejects_indices_past_the_exact_range(entry):
+    # |m|^2 = 2^120 for m = 2^60: no double holds it, so the identities
+    # compared rounded coefficients and still reported success.
+    with pytest.raises(ValueError, match=r"exceeds 2\^26 .* 2\^53"):
+        field_from_descriptor([dict(entry, re=0.5)])
+
+
+def test_descriptor_accepts_indices_at_the_bound():
+    W = field_from_descriptor([{"m": [2 ** 26, -2 ** 26], "n": -2 ** 26,
+                                "re": 0.5}])
+    assert W.coeff([-2 ** 26, 2 ** 26], 2 ** 26) == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize("key, value", [
     ("n", 0.5), ("m", [1.9]), ("m", [True]), ("m", [None]), ("n", None),
     ("n", True), ("re", None), ("re", [1]), ("im", "0.5"), ("re", 10 ** 400),

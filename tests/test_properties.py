@@ -169,6 +169,7 @@ json_values = st.recursive(
 # Inputs that ended in a traceback before they were mended:
 @example(("potential", "modes", 0, "n"), None)
 @example(("potential", "modes", 0, "m", 0), 1e300)   # int -> float overflow
+@example(("potential", "modes", 0, "m", 0), 2 ** 60)  # exited 0, |m|^2 > 2^53
 @example(("potential", "modes", 0, "re"), 1e300)     # c_eff overflows to NaN
 @example(("problem", "T"), 5e-324)                   # interval underflows
 @example(("problem", "T"), 1e-320)                   # refined dt subnormal
