@@ -30,9 +30,10 @@ from .errors import (BlowUp, BudgetExceeded, DegenerateFit, NoApplicableRegime,
                      ResolutionViolation, UnsupportedK)
 from .potential import (GammaMode, TrigField, descriptor_from_field,
                         field_from_descriptor)
-from .pdesolve import (MIN_CHECKPOINTS, GridSpec, InitialDescriptor,
-                       InitialTerm, ProblemSpec, SourceDescriptor, SourceTerm,
-                       check_cost, policy_grid, solve_pair)
+from .pdesolve import (DIFFUSIVE_DT_DIVISOR, MIN_CHECKPOINTS, GridSpec,
+                       InitialDescriptor, InitialTerm, ProblemSpec,
+                       SourceDescriptor, SourceTerm, check_cost,
+                       diffusive_cap, policy_grid, solve_pair)
 from .ratelab import (SweepConfig, ceff_as_json, default_workers, run_sweep,
                       write_outputs)
 from .regimes import resolve_regime
@@ -393,6 +394,12 @@ def cmd_solve(cfg: dict, args) -> int:
         raise ConfigError(f"'grid': {exc}") from exc
     check_cost("solve", W, f, [grid], _setting(cfg, args, "budget"))
     out = _outdir(cfg, args)
+    cap = diffusive_cap(eps)
+    cap_met = grid.dt_effective <= cap * (1.0 + 1e-9)
+    if not cap_met:
+        print(f"warning: dt = {grid.dt_effective:.3e} exceeds the diffusive "
+              f"cap eps^2/{DIFFUSIVE_DT_DIVISOR} = {cap:.3e}; the eps-scale "
+              f"relaxation is under-resolved", file=sys.stderr)
     ceff = effective_potential(regime, W)
     problem = ProblemSpec(W=W, eps=eps, regime=regime, f=f, g=g)
     norms = solve_pair(problem, ceff, grid)
@@ -406,6 +413,7 @@ def cmd_solve(cfg: dict, args) -> int:
         "c_eff": ceff_as_json(ceff),
         "regime": regime.as_dict(),
         "grid": grid_info,
+        "diffusive_cap": {"cap": cap, "met": cap_met},
     })
     lines = ["t,l2_eps,l2_hom,l2_diff\n"]
     for row in zip(norms.times, norms.l2_eps, norms.l2_hom, norms.l2_diff):

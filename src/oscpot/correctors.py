@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainIdentityViolation, SolvabilityViolation
-from .potential import TWO_PI, ScalarSeries, TrigField, _build
+from .potential import TWO_PI, ScalarSeries, TrigField, _build, _check_product
 from .regimes import RegimeFamily, RegimeSpec
 
 #: Relative tolerance for exact-in-principle coefficient identities.
@@ -157,8 +157,23 @@ def chi3_chain(W: TrigField, depth: int) -> list[TrigField]:
 # ---------------------------------------------------------------------------
 
 def mean_product(a: TrigField, b: TrigField) -> float:
-    """M(a * b) as an exact coefficient sum."""
-    return (a * b).mean_full()
+    """M(a * b) as an exact coefficient sum, without building a * b.
+
+    The mean is the sum of c * c' over the conjugate pairs (m, n) of a and
+    (-m, -n) of b, one lookup per term of a, added in the order of a's
+    terms from 0j as the product sums its (0, 0) coefficient.  So it has
+    the bits of (a * b).mean_full(), the real part of that sum and 0.0,
+    never -0.0, when it cancels; only past half the largest double, where
+    the product's projection overflows to inf, does this sum stay finite.
+    """
+    _check_product(a, b)
+    partner = {(tuple(-v for v in m), -n): c for m, n, c in b.terms}
+    total = 0j
+    for m, n, c in a.terms:
+        other = partner.get((m, n))
+        if other is not None:
+            total = total + c * other
+    return total.real + 0.0
 
 def grad_pair_mean(a: TrigField, b: TrigField) -> float:
     """M(grad_y a . grad_y b) as an exact coefficient sum."""

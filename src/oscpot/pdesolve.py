@@ -185,11 +185,17 @@ def policy_grid(eps: float, k: float, gamma: float, T: float, d: int,
     dt under both the oscillation cap and the diffusive-relaxation cap."""
     interval = T / checkpoints
     dt_cap = min(min(eps ** k, eps ** (gamma + 1.0)) / DT_DIVISOR,
-                 eps ** 2 / DIFFUSIVE_DT_DIVISOR)
+                 diffusive_cap(eps))
     # First, so that an eps whose 32/eps overflows (eps^2 is then 0) ends here.
     steps = max(1, math.ceil(_step_count(interval, dt_cap)))
     nx = max(8, math.ceil(POINTS_PER_EPS_DEFAULT / eps))
     return GridSpec(d, nx, interval / steps, T, checkpoints)
+
+
+def diffusive_cap(eps: float) -> float:
+    """The policy's diffusive-relaxation cap on dt, eps^2/64.  Policy grids
+    keep it; `check_resolution` does not enforce it on user grids."""
+    return eps ** 2 / DIFFUSIVE_DT_DIVISOR
 
 
 def check_resolution(grid: GridSpec, eps: float, k: float, gamma: float) -> None:

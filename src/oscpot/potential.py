@@ -198,17 +198,14 @@ class TrigField:
         if isinstance(other, (int, float)):
             return self.__rmul__(other)
         if isinstance(other, TrigField):
-            if other.d != self.d:
-                raise ValueError("dimension mismatch in field product")
-            # Every product coefficient is bounded by the product of masses.
-            if not math.isfinite(self.coeff_mass * other.coeff_mass):
-                raise OverflowError("field product overflows double precision")
-            entries = []
+            _check_product(self, other)
+            out: dict = {}
+            get = out.get
             for m1, n1, c1 in self.terms:
                 for m2, n2, c2 in other.terms:
-                    key = (tuple(a + b for a, b in zip(m1, m2)), n1 + n2)
-                    entries.append((key, c1 * c2))
-            merged = _merge(entries)
+                    key = (tuple(map(int.__add__, m1, m2)), n1 + n2)
+                    out[key] = get(key, 0j) + c1 * c2
+            merged = {k: c for k, c in out.items() if c != 0}
             # Conjugate modes accumulate their products in different
             # orders, so one can cancel exactly while its partner keeps a
             # round-off residue; project back onto the real subspace.
@@ -308,6 +305,16 @@ class TrigField:
             entries.append(((m, n), w))
             entries.append(((m, 0), -w))
         return _build(self.d, entries)
+
+
+def _check_product(a: TrigField, b: TrigField) -> None:
+    """Reject a * b, or its average alone: factors of different dimension,
+    or coefficient masses whose product leaves the range of doubles."""
+    if b.d != a.d:
+        raise ValueError("dimension mismatch in field product")
+    # Every product coefficient is bounded by the product of masses.
+    if not math.isfinite(a.coeff_mass * b.coeff_mass):
+        raise OverflowError("field product overflows double precision")
 
 
 def _check_imag(total: np.ndarray, mass: float) -> None:
@@ -426,7 +433,8 @@ def field_from_descriptor(entries: Sequence[Mapping], d: int | None = None) -> T
 
     Hermitian partners may be omitted; they are completed automatically.
     Duplicate entries for one mode must agree, and an explicitly given
-    partner must be the exact conjugate.
+    partner must be the exact conjugate.  The dimension, given or read
+    from the entries, must be 1 or 2 (see `_entry_number`).
     """
     if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
         raise ValueError("potential descriptor must be a list of mode entries")
@@ -464,6 +472,10 @@ def field_from_descriptor(entries: Sequence[Mapping], d: int | None = None) -> T
         seen[key] = c
     if dim is None:
         raise ValueError("potential descriptor is empty and no dimension given")
+    if dim not in (1, 2):
+        raise ValueError(
+            f"dimension {dim} is not 1 or 2; the index bound 2^26 keeps "
+            f"|m|^2 within 2^53 only for d <= 2")
     completed = dict(seen)
     for key, c in seen.items():
         partner = _neg(key)

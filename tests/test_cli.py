@@ -110,6 +110,19 @@ class TestConfigErrors:
         assert run_cli("verify", write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
         assert "'potential.d'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "correctors", "solve",
+                                         "sweep"])
+    def test_inferred_dimension_three(self, write_cfg, tmp_path, capsys,
+                                      command):
+        # Without 'potential.d' the dimension came from the modes, and
+        # every identity of this 3-D potential passed with exit code 0.
+        cfg = base_config(epsilon=0.25, sweep=dict(SWEEP_BLOCK))
+        cfg["potential"] = {"modes": [{"m": [1, 1, 1], "n": -1, "re": 0.5}]}
+        cfg["regime"] = {"k": 2, "gamma_mode": "unit"}
+        assert run_cli(command, write_cfg(cfg), tmp_path) == cli.EXIT_CONFIG
+        assert "config error: 'potential.modes': dimension 3 is not 1 or 2" \
+            in capsys.readouterr().err
+
     def test_non_hermitian_modes(self, write_cfg, tmp_path, capsys):
         cfg = base_config()
         cfg["potential"]["modes"] = [
@@ -288,6 +301,29 @@ class TestSolveCommand:
         assert max(diffs) == blob["error_linf_l2"]
         for name in ("solve.json", "checkpoint_norms.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_policy_grid_meets_the_diffusive_cap(self, write_cfg, tmp_path,
+                                                 capsys):
+        cfg = base_config(epsilon=0.25, grid={"checkpoints": 8})
+        assert run_cli("solve", write_cfg(cfg), tmp_path) == cli.EXIT_OK
+        blob = json.loads((tmp_path / "solve.json").read_text())
+        assert blob["diffusive_cap"] == {"cap": 0.25 ** 2 / 64, "met": True}
+        assert "warning" not in capsys.readouterr().err
+
+    def test_user_dt_past_the_diffusive_cap_warns(self, write_cfg, tmp_path,
+                                                  capsys):
+        # k = 2, gamma = 1: check_resolution allows dt up to eps^2/8, the
+        # policy grid keeps eps^2/64; eps^2/32 lies between them.
+        eps = 0.25
+        cfg = base_config(epsilon=eps,
+                          grid={"checkpoints": 8, "dt": eps ** 2 / 32})
+        assert run_cli("solve", write_cfg(cfg), tmp_path) == cli.EXIT_OK
+        blob = json.loads((tmp_path / "solve.json").read_text())
+        assert blob["grid"]["dt"] > eps ** 2 / 64
+        assert blob["diffusive_cap"] == {"cap": eps ** 2 / 64, "met": False}
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "diffusive cap" in warnings[0]
 
     def test_under_resolved_grid_exits_4(self, write_cfg, tmp_path, capsys):
         cfg = base_config(epsilon=0.125)

@@ -360,6 +360,17 @@ def test_descriptor_rejects_bad_input():
                                {"m": [1, 1], "n": 0, "re": 1.0}])
 
 
+@pytest.mark.parametrize("modes, d", [
+    ([{"m": [1, 1, 1], "n": -1, "re": 0.5}], None),
+    ([{"m": [1, 1, 1], "n": -1, "re": 0.5}], 3),
+    ([{"m": [], "n": -1, "re": 0.5}], None),
+])
+def test_descriptor_dimension_must_be_one_or_two(modes, d):
+    # The 2^26 index bound keeps |m|^2 exact only for d <= 2.
+    with pytest.raises(ValueError, match=r"dimension \d is not 1 or 2"):
+        field_from_descriptor(modes, d)
+
+
 @pytest.mark.parametrize("entry", [
     {"m": [2 ** 26 + 1], "n": 0}, {"m": [1, -2 ** 26 - 1], "n": 0},
     {"m": [1], "n": 2 ** 26 + 1}, {"m": [2 ** 60], "n": 0},

@@ -17,7 +17,10 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscpot import ScalarSeries, TrigField, cli, iteration_depth
+from oscpot import (ScalarSeries, TrigField, cli, field_from_descriptor,
+                    iteration_depth)
+from oscpot.correctors import grad_pair_mean, mean_product
+from oscpot.potential import _build, _merge, _neg
 
 SETTINGS = settings(max_examples=25, deadline=None)
 TWO_PI = 2.0 * math.pi
@@ -36,11 +39,16 @@ def _field(d, raw):
     return TrigField(d, entries)
 
 
-def fields(d, n_values=st.integers(-2, 2)):
-    """Real fields of dimension d, built from up to four conjugate pairs."""
-    mode = st.tuples(st.tuples(*[st.integers(-2, 2)] * d), n_values,
+def raw_pairs(d, n_values=st.integers(-2, 2), index=2, size=(1, 4)):
+    """(m, n, re, im) lists for `_field`: one conjugate pair each."""
+    mode = st.tuples(st.tuples(*[st.integers(-index, index)] * d), n_values,
                      coef, coef)
-    return st.lists(mode, min_size=1, max_size=4).map(lambda raw: _field(d, raw))
+    return st.lists(mode, min_size=size[0], max_size=size[1])
+
+
+def fields(d, n_values=st.integers(-2, 2), **kw):
+    """Real fields of dimension d, built from up to four conjugate pairs."""
+    return raw_pairs(d, n_values, **kw).map(lambda raw: _field(d, raw))
 
 
 def any_field(**kw):
@@ -115,6 +123,111 @@ def test_series_algebra_matches_pointwise(a, b, start, length):
                                    epsabs=1e-13, limit=200)
     assert ab.definite_integral(start, start + length) == pytest.approx(
         want, abs=1e-10)
+
+
+# -- averages of products and the product loop -----------------------------
+
+def _quarter_turn(d, raw):
+    """_field of raw with every pair turned by i: b_k = i a_k and
+    b_-k = -i conj(a_k), so each pair's real part of a_k b_-k + a_-k b_k
+    cancels exactly."""
+    return _field(d, [(m, n, -im, re) for m, n, re, im in raw])
+
+
+def mean_cases(d):
+    """(a, b) for M(a b): independent small and large fields, a field and
+    its quarter turn, the zero field on either side, and b with no
+    conjugate partner in a (n in {1, 2} against n = 3)."""
+    zero = _field(d, [])
+    return st.one_of(
+        st.tuples(fields(d), fields(d)),
+        st.tuples(fields(d, index=3, size=(8, 16)),
+                  fields(d, index=3, size=(8, 16))),
+        raw_pairs(d).map(lambda raw: (_field(d, raw), _quarter_turn(d, raw))),
+        fields(d).map(lambda a: (a, zero)),
+        fields(d).map(lambda b: (zero, b)),
+        st.tuples(fields(d, st.sampled_from([1, 2])), fields(d, st.just(3))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0, 1, 2]).flatmap(mean_cases))
+def test_mean_product_is_the_product_mean_bit_for_bit(case):
+    a, b = case
+    got = mean_product(a, b)
+    assert got.hex() == (a * b).mean_full().hex()
+    assert math.copysign(1.0, got) == 1.0 or got < 0   # never -0.0
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_mean_product_of_cancelling_pairs_is_plus_zero(d):
+    m = (1,) * d
+    a, b = _field(d, [(m, 1, 1.0, 0.0)]), _field(d, [(m, 1, 0.0, -1.0)])
+    # cos * sin has no mean: 0.5 (0.5 i) + 0.5 (-0.5 i) cancels exactly.
+    assert (a * b).mean_full().hex() == mean_product(a, b).hex() == "0x0.0p+0"
+    # cos(theta) against cos(2 theta): no mode has a conjugate partner.
+    assert mean_product(a, _field(d, [(m, 2, 1.0, 0.0)])).hex() == "0x0.0p+0"
+
+
+@SETTINGS
+@given(st.sampled_from([0, 1, 2]).flatmap(mean_cases))
+def test_grad_pair_mean_is_the_per_axis_product_sum(case):
+    a, b = case
+    want = 0.0
+    for ga, gb in zip(a.grad_y(), b.grad_y()):
+        want += (ga * gb).mean_full()
+    assert grad_pair_mean(a, b).hex() == want.hex()
+
+
+def test_mean_product_keeps_the_product_checks():
+    W = field_from_descriptor([{"m": [1], "n": -1, "re": 1e300}])
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        mean_product(W, W)
+    with pytest.raises(ValueError, match="dimension mismatch in field product"):
+        mean_product(W, TrigField.constant(2, 1.0))
+
+
+def _reference_product(a, b):
+    """a * b with the first product loop: the list of all pair entries,
+    merged by `_merge`, then projected onto the real fields."""
+    entries = []
+    for m1, n1, c1 in a.terms:
+        for m2, n2, c2 in b.terms:
+            key = (tuple(x + y for x, y in zip(m1, m2)), n1 + n2)
+            entries.append((key, c1 * c2))
+    merged = _merge(entries)
+    sym = []
+    for key in set(merged) | {_neg(k) for k in merged}:
+        value = 0.5 * (merged.get(key, 0j)
+                       + merged.get(_neg(key), 0j).conjugate())
+        sym.append((key, value))
+    return _build(a.d, sym)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0, 1, 2]).flatmap(
+    lambda d: st.tuples(fields(d, index=3, size=(8, 16)),
+                        fields(d, index=3, size=(8, 16)))))
+def test_product_matches_the_entry_list_reference(case):
+    a, b = case
+    assert (a * b).terms == _reference_product(a, b).terms
+
+
+@pytest.mark.parametrize("d, index, n_max", [(0, 0, 120), (1, 7, 7),
+                                             (2, 3, 2)])
+def test_dense_product_matches_the_entry_list_reference(d, index, n_max):
+    rng = np.random.default_rng(d)
+    span = range(-index, index + 1)
+    keys = [(m, n) for m in np.ndindex(*[len(span)] * d)
+            for n in range(-n_max, n_max + 1)]
+    raw = [(tuple(int(v) - index for v in m), n, *rng.normal(size=2))
+           for m, n in keys]
+    a, b = _field(d, raw), _field(d, raw[::-1])
+    assert len(a.terms) >= 200
+    ab = a * b
+    assert len(ab.terms) >= 200
+    assert ab.terms == _reference_product(a, b).terms
+    assert mean_product(a, b).hex() == ab.mean_full().hex()
 
 
 @SETTINGS
