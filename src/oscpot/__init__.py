@@ -17,7 +17,7 @@ from .potential import (GammaMode, ScalarSeries, TrigField,
                         descriptor_from_field, field_from_descriptor,
                         sample_oscillated)
 from .regimes import (RegimeFamily, RegimeSpec, iteration_depth,
-                      resolve_regime, theoretical_rate)
+                      resolve_regime)
 from .correctors import (CorrectorSet, build_correctors, chi3_chain,
                          chi5_chain, effective_potential, identity_report,
                          solve_chi1, solve_chi2, solve_chi3, solve_chi7)
@@ -34,7 +34,6 @@ __all__ = [
     "GammaMode", "ScalarSeries", "TrigField", "descriptor_from_field",
     "field_from_descriptor", "sample_oscillated",
     "RegimeFamily", "RegimeSpec", "iteration_depth", "resolve_regime",
-    "theoretical_rate",
     "CorrectorSet", "build_correctors", "chi3_chain", "chi5_chain",
     "effective_potential", "identity_report", "solve_chi1", "solve_chi2",
     "solve_chi3", "solve_chi7",

@@ -35,7 +35,7 @@ from .pdesolve import (DIFFUSIVE_DT_DIVISOR, MIN_CHECKPOINTS, GridSpec,
                        SourceDescriptor, SourceTerm, check_cost,
                        diffusive_cap, policy_grid, solve_pair)
 from .ratelab import (SweepConfig, ceff_as_json, default_workers, run_sweep,
-                      write_outputs)
+                      write_json, write_outputs)
 from .regimes import resolve_regime
 
 EXIT_OK = 0
@@ -309,10 +309,6 @@ def _outdir(cfg: dict, args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _manifest(command: str, W: TrigField, extra: dict) -> dict:
     manifest = {
         "command": command,
@@ -345,9 +341,9 @@ def cmd_correctors(cfg: dict, args) -> int:
         "chi7": _field_json(cset.chi7),
         "chain": [ceff_as_json(s) for s in cset.chain],
     }
-    _write_json(out / "correctors.json", payload)
-    _write_json(out / "manifest.json",
-                _manifest("correctors", W, {"regime": regime.as_dict()}))
+    write_json(out / "correctors.json", payload)
+    write_json(out / "manifest.json",
+               _manifest("correctors", W, {"regime": regime.as_dict()}))
     print(f"effective potential: {ceff_as_json(cset.effective)}")
     return EXIT_OK
 
@@ -357,9 +353,9 @@ def cmd_verify(cfg: dict, args) -> int:
     regime = build_regime(cfg, W)
     report = identity_report(W, regime)
     out = _outdir(cfg, args)
-    _write_json(out / "identities.json", report.as_dict())
-    _write_json(out / "manifest.json",
-                _manifest("verify", W, {"regime": regime.as_dict()}))
+    write_json(out / "identities.json", report.as_dict())
+    write_json(out / "manifest.json",
+               _manifest("verify", W, {"regime": regime.as_dict()}))
     for check in report.checks:
         state = ("skipped" if check.skipped
                  else "ok" if check.passed else "FAIL")
@@ -405,7 +401,7 @@ def cmd_solve(cfg: dict, args) -> int:
     norms = solve_pair(problem, ceff, grid)
     grid_info = {"nx": grid.nx, "dt": grid.dt_effective, "T": grid.T,
                  "checkpoints": grid.checkpoints}
-    _write_json(out / "solve.json", {
+    write_json(out / "solve.json", {
         "eps": eps,
         "error_linf_l2": norms.error,
         "max_l2_eps": norms.max_l2_eps,
@@ -419,7 +415,7 @@ def cmd_solve(cfg: dict, args) -> int:
     for row in zip(norms.times, norms.l2_eps, norms.l2_hom, norms.l2_diff):
         lines.append(",".join(repr(float(v)) for v in row) + "\n")
     (out / "checkpoint_norms.csv").write_text("".join(lines))
-    _write_json(out / "manifest.json", _manifest("solve", W, {
+    write_json(out / "manifest.json", _manifest("solve", W, {
         "regime": regime.as_dict(),
         "epsilon": eps,
         "problem": cfg["problem"],
@@ -435,7 +431,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     out = _outdir(cfg, args)
     report = run_sweep(sweep_cfg)
     write_outputs(report, out)
-    _write_json(out / "manifest.json", _manifest("sweep", W, {
+    write_json(out / "manifest.json", _manifest("sweep", W, {
         "regime": report.regime.as_dict(),
         "problem": cfg["problem"],
         "sweep": {
@@ -458,6 +454,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     for reason in report.reasons:
         print(f"  {reason}")
     if not report.passed:
+        print(f"rate verdict failure: {report.reasons[0]}", file=sys.stderr)
         return EXIT_VERDICT
     return EXIT_OK
 

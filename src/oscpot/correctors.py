@@ -28,7 +28,7 @@ the regime to reproduce it for comparison runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .regimes import RegimeFamily, RegimeSpec
 
 #: Relative tolerance for exact-in-principle coefficient identities.
 COEFF_TOL = 1e-12
+#: Relative tolerance of the identity report's checks (see identity_report).
+IDENTITY_TOL = 1e-10
 
 
 def solve_chi1(W: TrigField) -> TrigField:
@@ -163,8 +165,8 @@ def mean_product(a: TrigField, b: TrigField) -> float:
     (-m, -n) of b, one lookup per term of a, added in the order of a's
     terms from 0j as the product sums its (0, 0) coefficient.  So it has
     the bits of (a * b).mean_full(), the real part of that sum and 0.0,
-    never -0.0, when it cancels; only past half the largest double, where
-    the product's projection overflows to inf, does this sum stay finite.
+    never -0.0, when it cancels, and it raises OverflowError exactly
+    where the product does.
     """
     _check_product(a, b)
     partner = {(tuple(-v for v in m), -n): c for m, n, c in b.terms}
@@ -273,8 +275,7 @@ class IdentityCheck:
     skipped: str | None = None
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual, "tol": self.tol,
-                "passed": self.passed, "skipped": self.skipped}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -301,22 +302,21 @@ class IdentityReport:
                 "checks": [c.as_dict() for c in self.checks]}
 
 
-def identity_report(W: TrigField, regime: RegimeSpec,
-                    tol: float = 1e-10) -> IdentityReport:
+def identity_report(W: TrigField, regime: RegimeSpec) -> IdentityReport:
     """Evaluate the energy and vanishing-mean identities that the limit
     proofs rest on; all are exact for trigonometric potentials, so any
     residual beyond round-off indicates a defect.
 
     Round-off grows with the terms compared, so each residual is held to
-    tol * max(1, s), s the larger average of an energy pairing or the
-    coefficient mass of the product whose mean must vanish.  Checks whose
-    structural precondition W does not meet are reported as skipped, not
-    failed.
+    IDENTITY_TOL * max(1, s), s the larger average of an energy pairing
+    or the coefficient mass of the product whose mean must vanish.
+    Checks whose structural precondition W does not meet are reported as
+    skipped, not failed.
     """
     checks: list[IdentityCheck] = []
 
     def add(name, residual, scale):
-        bound = tol * max(1.0, scale)
+        bound = IDENTITY_TOL * max(1.0, scale)
         checks.append(IdentityCheck(name, float(residual), bound,
                                     passed=float(residual) <= bound))
 
@@ -325,7 +325,7 @@ def identity_report(W: TrigField, regime: RegimeSpec,
         add(name, abs(a + b), max(abs(a), abs(b)))
 
     def skip(name, why):
-        checks.append(IdentityCheck(name, None, tol, passed=True, skipped=why))
+        checks.append(IdentityCheck(name, None, IDENTITY_TOL, True, why))
 
     zero_mean = abs(W.mean_full()) == 0.0
     tau_mean_free = W.mean_tau().is_zero()

@@ -429,7 +429,8 @@ def _march(grid: GridSpec, u0: np.ndarray, block: Callable,
 
     block(times) gets the long-double boundary times t_0 < ... < t_2s of
     a block's half-steps and returns step(u, i), which advances u over
-    step i, from times[2i] through times[2i+1] to times[2i+2]."""
+    step i, from times[2i] through times[2i+1] to times[2i+2].  numpy's
+    overflow and NaN warnings are off: the norm guard raises BlowUp."""
     half_ld = np.longdouble(grid.interval) / grid.steps_per_interval / 2
     per_block = _block_steps(grid)
     per_interval = grid.steps_per_interval
@@ -437,38 +438,38 @@ def _march(grid: GridSpec, u0: np.ndarray, block: Callable,
     snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
     snaps[0] = u
     max_l2 = _l2(u, grid)
-    for ci in range(grid.checkpoints):
-        end = (ci + 1) * per_interval
-        for first in range(ci * per_interval, end, per_block):
-            count = min(per_block, end - first)
-            times = np.arange(2 * first, 2 * (first + count) + 1,
-                              dtype=np.longdouble) * half_ld
-            step = block(times)
-            for i in range(count):
-                u = step(u, i)
-                nrm = _l2(u, grid)
-                if not math.isfinite(nrm) or nrm > BLOWUP_LIMIT:
-                    raise BlowUp(
-                        f"{label}: L2 norm {nrm:.3e} at "
-                        f"t = {float(times[2 * i + 2]):.6g} exceeds "
-                        f"{BLOWUP_LIMIT:.0e}")
-                max_l2 = max(max_l2, nrm)
-        snaps[ci + 1] = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ci in range(grid.checkpoints):
+            end = (ci + 1) * per_interval
+            for first in range(ci * per_interval, end, per_block):
+                count = min(per_block, end - first)
+                times = np.arange(2 * first, 2 * (first + count) + 1,
+                                  dtype=np.longdouble) * half_ld
+                step = block(times)
+                for i in range(count):
+                    u = step(u, i)
+                    nrm = _l2(u, grid)
+                    if not math.isfinite(nrm) or nrm > BLOWUP_LIMIT:
+                        raise BlowUp(
+                            f"{label}: L2 norm {nrm:.3e} at "
+                            f"t = {float(times[2 * i + 2]):.6g} exceeds "
+                            f"{BLOWUP_LIMIT:.0e}")
+                    max_l2 = max(max_l2, nrm)
+            snaps[ci + 1] = u
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
                       snapshots=snaps, max_l2=max_l2)
 
 
 def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
                   enforce_policy: bool = True,
-                  disable_diffusion: bool = False,
                   source_fn: Callable[[float], np.ndarray] | None = None
                   ) -> Trajectory:
     """March the eps-problem to T on the given grid.
 
-    disable_diffusion is a test hook: with it the scheme reduces to the
-    exact reaction factor alone, and a source is rejected.  source_fn
-    overrides the declarative source with an arbitrary array-valued
-    function of time (used for manufactured solutions).
+    enforce_policy=False skips the resolution check (for deliberately
+    coarse grids).  source_fn overrides the declarative source with an
+    arbitrary array-valued function of time (used for manufactured
+    solutions).
     """
     if p.d != grid.d:
         raise ValueError(
@@ -478,10 +479,7 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
     reaction = _OscillatedReaction(p.W, p.eps, p.regime.k, p.regime.gamma, grid)
     if source_fn is None:
         source_fn = p.f.compile(grid)
-    if disable_diffusion and source_fn is not None:
-        raise ValueError("disable_diffusion does not take a source")
-    diffuse = ((lambda u, t_a, t_b: u) if disable_diffusion
-               else _Diffusion(grid, source_fn).step)
+    diffuse = _Diffusion(grid, source_fn).step
 
     def block(times):
         factors = reaction._factors(times)

@@ -91,45 +91,32 @@ def _build(d: int, entries, check: bool = False) -> "TrigField":
 class TrigField:
     """Real trigonometric polynomial in (y, tau); immutable.
 
-    `terms` (also `modes`) holds the sorted (m, n, c) triples.  The public
-    constructor needs d >= 1; fields with d = 0 come from mean_y(), from
-    products and primitives of such fields, and from ScalarSeries.
+    `terms` holds the sorted (m, n, c) triples.  The public constructor
+    takes ((m, n), c) pairs and needs d >= 1; fields with d = 0 come from
+    mean_y(), from products and primitives of such fields, and from
+    ScalarSeries.
     """
 
     d: int
     terms: tuple[tuple[tuple[int, ...], int, complex], ...]
 
-    def __init__(self, d: int, coeffs: Mapping | Iterable | None = None):
+    def __init__(self, d: int, coeffs: Iterable = ()):
         if d < 1:
             raise ValueError(f"spatial dimension must be >= 1, got {d}")
         items = []
-        if coeffs:
-            pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-            for entry in pairs:
-                if isinstance(entry[0], tuple) and len(entry) == 2:
-                    (m, n), c = entry
-                else:
-                    m, n, c = entry
-                key = _as_mode_key(m, n)
-                if len(key[0]) != d:
-                    raise ValueError(
-                        f"mode {key[0]} has dimension {len(key[0])}, expected {d}")
-                items.append((key, complex(c)))
+        for (m, n), c in coeffs:
+            key = _as_mode_key(m, n)
+            if len(key[0]) != d:
+                raise ValueError(
+                    f"mode {key[0]} has dimension {len(key[0])}, expected {d}")
+            items.append((key, complex(c)))
         _fill(self, d, items, check=True)
-
-    @property
-    def modes(self) -> tuple[tuple[tuple[int, ...], int, complex], ...]:
-        return self.terms
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(d: int) -> "TrigField":
-        return TrigField(d, [])
-
-    @staticmethod
     def constant(d: int, value: float) -> "TrigField":
-        return TrigField(d, [((0,) * d, 0, complex(value))])
+        return TrigField(d, [(((0,) * d, 0), complex(value))])
 
     @staticmethod
     def from_cos(d: int, m: Sequence[int], n: int, amp: float = 1.0) -> "TrigField":
@@ -312,8 +299,9 @@ def _check_product(a: TrigField, b: TrigField) -> None:
     or coefficient masses whose product leaves the range of doubles."""
     if b.d != a.d:
         raise ValueError("dimension mismatch in field product")
-    # Every product coefficient is bounded by the product of masses.
-    if not math.isfinite(a.coeff_mass * b.coeff_mass):
+    # Every product coefficient is bounded by the product of masses, and
+    # the conjugate projection of __mul__ adds two of them before halving.
+    if not math.isfinite(2.0 * a.coeff_mass * b.coeff_mass):
         raise OverflowError("field product overflows double precision")
 
 
@@ -339,13 +327,6 @@ class ScalarSeries(TrigField):
     @property
     def modes(self) -> tuple[tuple[int, complex], ...]:
         return tuple((n, c) for _, n, c in self.terms)
-
-    def mean(self) -> float:
-        return self.mean_full()
-
-    def antiderivative(self) -> TrigField:
-        """Primitive vanishing at tau = 0; requires zero mean."""
-        return self.antiderivative_tau()
 
 
 class GammaMode(Enum):

@@ -15,10 +15,11 @@ refinement residual stays below `richardson_max`.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +99,7 @@ class SweepPoint:
     cells: int
 
     def as_dict(self) -> dict:
-        return {"eps": self.eps, "error": self.error,
-                "richardson": self.richardson,
-                "max_l2_eps": self.max_l2_eps, "max_l2_hom": self.max_l2_hom,
-                "nx": self.nx, "dt": self.dt, "steps": self.steps,
-                "cells": self.cells}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -159,21 +156,21 @@ def ceff_as_json(value: float | TrigField):
     return float(value)
 
 
-def fit_loglog(eps, errors, floor: float = ERROR_FLOOR) -> FitResult:
+def fit_loglog(eps, errors) -> FitResult:
     """Least-squares slope of log(error) against log(eps).
 
-    Errors at or below `floor` are excluded; fewer than 3 surviving
+    Errors at or below ERROR_FLOOR are excluded; fewer than 3 surviving
     points raise DegenerateFit.
     """
     eps = [float(e) for e in eps]
     errors = [float(v) for v in errors]
     if len(eps) != len(errors):
         raise ValueError("eps and errors must have equal length")
-    used = [(e, v) for e, v in zip(eps, errors) if v > floor]
-    excluded = tuple(e for e, v in zip(eps, errors) if v <= floor)
+    used = [(e, v) for e, v in zip(eps, errors) if v > ERROR_FLOOR]
+    excluded = tuple(e for e, v in zip(eps, errors) if v <= ERROR_FLOOR)
     if len(used) < 3:
         raise DegenerateFit(
-            f"only {len(used)} errors above the floor {floor:g}; "
+            f"only {len(used)} errors above the floor {ERROR_FLOOR:g}; "
             f"need at least 3 for a slope")
     x = np.log([e for e, _ in used])
     y = np.log([v for _, v in used])
@@ -312,15 +309,17 @@ def points_dat(report: RateReport) -> str:
     return "".join(lines)
 
 
-def write_outputs(report: RateReport, outdir: str | Path) -> dict[str, Path]:
-    import json
+def write_json(path: Path, payload: dict) -> None:
+    """The one JSON format of every output file: sorted keys, indent 2."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
+
+def write_outputs(report: RateReport, outdir: str | Path) -> dict[str, Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {}
     paths["report"] = outdir / "report.json"
-    paths["report"].write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(paths["report"], report.as_dict())
     paths["csv"] = outdir / "points.csv"
     paths["csv"].write_text(points_csv(report))
     paths["dat"] = outdir / "points.dat"

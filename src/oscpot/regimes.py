@@ -13,9 +13,9 @@ either 1 or k - 1, and k - 1 is only meaningful for 2 < k <= 3.
 The whole map is one table, REGIMES, with a row per regime family: its
 admissibility class, gamma mode, window of k, admissibility condition on
 W, corrector and rate.  resolve_regime() is the single entry point that
-turns (k, gamma mode, potential) into a fully resolved RegimeSpec or
-rejects the combination; theoretical_rate() and RegimeSpec.corrector
-read the same table.
+turns (k, gamma mode, potential) into a fully resolved RegimeSpec, whose
+`rate` is the proven exponent and whose `corrector` names the recipe, or
+rejects the combination.
 """
 
 from __future__ import annotations
@@ -107,23 +107,6 @@ REGIMES = (
 _BY_FAMILY = {row.family: row for row in REGIMES}
 
 
-def _row_for(k: float, gamma_mode: GammaMode) -> RegimeRow | None:
-    """The table row for (k, gamma_mode), or None outside the map."""
-    if not isinstance(gamma_mode, GammaMode):
-        raise ValueError(f"unknown gamma mode {gamma_mode!r}")
-    if k < 0:
-        raise ValueError(f"time exponent k must be >= 0, got {k}")
-    return next((row for row in REGIMES
-                 if row.gamma_mode is gamma_mode and row.k_window(k)), None)
-
-
-def theoretical_rate(k: float, family: RegimeFamily) -> float:
-    """Proven convergence exponent p in ||u_eps - u_hom|| = O(eps^p)."""
-    if family not in _BY_FAMILY:
-        raise ValueError(f"unknown regime family {family!r}")
-    return _BY_FAMILY[family].rate(k)
-
-
 @dataclass(frozen=True)
 class RegimeSpec:
     """Resolved parameter regime; immutable record attached to all reports."""
@@ -182,7 +165,12 @@ def resolve_regime(k: float, gamma_mode: GammaMode, W: TrigField,
     if not isinstance(k, (int, float)) or math.isnan(k) or math.isinf(k):
         raise ValueError(f"k must be a finite number, got {k!r}")
     k = float(k)
-    row = _row_for(k, gamma_mode)
+    if not isinstance(gamma_mode, GammaMode):
+        raise ValueError(f"unknown gamma mode {gamma_mode!r}")
+    if k < 0:
+        raise ValueError(f"time exponent k must be >= 0, got {k}")
+    row = next((row for row in REGIMES
+                if row.gamma_mode is gamma_mode and row.k_window(k)), None)
     if row is None:
         # Outside 2 < k <= 3 no amplitude exponent of the form k - 1
         # produces a nontrivial limit, so the pairing itself is rejected.

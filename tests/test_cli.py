@@ -442,6 +442,43 @@ def limit_address_space_2gib():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30))
 
 
+#: command, config, flags, exit code and stderr prefix of one failure per
+#: failing exit code (three kinds of resource violation).
+ONE_LINE_FAILURES = {
+    "config": ("verify", base_config(extra_block={}), (), cli.EXIT_CONFIG,
+               "config error: unknown key"),
+    "regime": ("verify", base_config(potential={"d": 1, "modes": [
+        *COS_TRAVELLING, {"m": [0], "n": 0, "re": 0.7, "im": 0.0}]}), (),
+        cli.EXIT_REGIME, "regime rejection: "),
+    "budget": ("sweep", base_config(sweep=SWEEP_BLOCK,
+                                    grid={"checkpoints": 16}),
+               ("--budget", "1000"), cli.EXIT_RESOURCE,
+               "resource violation: sweep needs about"),
+    "resolution": ("solve", base_config(epsilon=0.125, grid={
+        "nx": 32, "checkpoints": 8}), (), cli.EXIT_RESOURCE,
+        "resource violation: nx = 32"),
+    # The reaction factor overflows at the first step; numpy's warnings
+    # must not reach stderr ahead of the BlowUp line.
+    "blow-up": ("solve", base_config(epsilon=0.125, potential={
+        "d": 1, "modes": [{"m": [1], "n": -1, "re": 1e6}]}), (),
+        cli.EXIT_RESOURCE, "resource violation: eps=0.125: L2 norm"),
+    "verdict": ("sweep", base_config(
+        sweep=dict(SWEEP_BLOCK, slope_tolerance=1e-9),
+        grid={"checkpoints": 16}), (), cli.EXIT_VERDICT,
+        "rate verdict failure: slope"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_LINE_FAILURES)
+def test_each_failure_writes_one_line_to_stderr(tmp_path, case):
+    command, cfg, flags, code, prefix = ONE_LINE_FAILURES[case]
+    proc = run_cli_subprocess(command, cfg, tmp_path, timeout=120,
+                              flags=flags)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 class TestBadValues:
     @pytest.mark.parametrize("command", ["verify", "correctors"])
     def test_k_just_above_one_is_rejected_quickly(self, tmp_path, command):

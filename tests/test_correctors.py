@@ -41,7 +41,7 @@ def regime_for(family: str, W: TrigField, **kw):
 def test_chi1_satisfies_cell_equation_per_mode():
     W = random_admissible("critical", RNG)
     chi = solve_chi1(W)
-    for m, n, c in W.modes:
+    for m, n, c in W.terms:
         denom = TWO_PI * 1j * n + TWO_PI ** 2 * sum(v * v for v in m)
         got = chi.coeff(m, n) * denom
         assert abs(got - c) <= 1e-12 * max(1.0, abs(c))
@@ -76,7 +76,7 @@ def test_chi3_inverts_laplacian_per_slice():
     lap = chi.laplacian_y()
     # Lap chi3 = W - mean_y(W); compare mode-wise
     rhs = W - W.mean_y().as_field(W.d)
-    for m, n, c in rhs.modes:
+    for m, n, c in rhs.terms:
         assert abs(lap.coeff(m, n) - c) <= 1e-12 * max(1.0, abs(c))
     assert chi.mean_y().is_zero()
 
@@ -196,7 +196,7 @@ def test_ceff_frozen_time_is_a_series():
     spec = regime_for("frozen_time", WMIX)
     got = effective_potential(spec, WMIX)
     assert isinstance(got, ScalarSeries)
-    assert got.mean() == pytest.approx(-3.0 / (16 * PI2), abs=1e-12)
+    assert got.mean_full() == pytest.approx(-3.0 / (16 * PI2), abs=1e-12)
     assert got.evaluate(0.0) == pytest.approx(-1.0 / (2 * PI2), abs=1e-12)
     assert got.evaluate(0.5) == pytest.approx(0.0, abs=1e-14)
 
@@ -223,7 +223,7 @@ def test_ceff_nonpositive_on_random_admissible():
             W = random_admissible(family, RNG)
             spec = regime_for(family, W)
             got = effective_potential(spec, W)
-            value = got.mean() if isinstance(got, ScalarSeries) else got
+            value = got.mean_full() if isinstance(got, ScalarSeries) else got
             assert value <= 1e-14, f"{family}: c_eff = {value}"
 
 
@@ -254,7 +254,7 @@ def test_ceff_random_fields_match_quadrature():
         W = random_admissible(family, RNG, d=1)
         spec = regime_for(family, W)
         got = effective_potential(spec, W)
-        value = got.mean() if isinstance(got, ScalarSeries) else got
+        value = got.mean_full() if isinstance(got, ScalarSeries) else got
         if spec.family is RegimeFamily.CRITICAL:
             chi = solve_chi1(W)
             sign = -1.0
@@ -332,7 +332,7 @@ def test_identity_report_all_pass_on_admissible():
 
 
 def test_identity_report_zero_potential():
-    W = TrigField.zero(1)
+    W = TrigField(1, [])
     rep = identity_report(W, regime_for("critical", W))
     assert rep.all_passed
     assert rep.max_residual == 0.0
@@ -390,6 +390,15 @@ def test_identity_report_as_dict():
     assert d["all_passed"] is True
     assert {c["name"] for c in d["checks"]} >= {
         "chi1_energy", "chi2_energy", "chi3_energy", "chain_mean_1"}
+
+
+def test_identity_check_as_dict_key_order():
+    # The benchmark's verify batch writes these dicts without sorting keys.
+    rep = identity_report(DIAG, regime_for("critical", DIAG))
+    for check in rep.checks:
+        d = check.as_dict()
+        assert list(d) == ["name", "residual", "tol", "passed", "skipped"]
+        assert (d["name"], d["tol"]) == (check.name, check.tol)
 
 
 # -- quadrature helper sanity ---------------------------------------------

@@ -16,9 +16,10 @@ from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridSpec,
                     resolve_regime, solve_epsilon, solve_homogenized)
 from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
                              DIFFUSIVE_DT_DIVISOR, DT_DIVISOR, MEMORY_LIMIT,
-                             POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT, _dst,
-                             check_cost, check_resolution, pair_cost,
-                             refinement_residual, solve_pair)
+                             POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
+                             _OscillatedReaction, _dst, check_cost,
+                             check_resolution, pair_cost, refinement_residual,
+                             solve_pair)
 
 DIAG = TrigField.from_cos(1, [1], -1)
 G1 = InitialDescriptor((InitialTerm(1.0, (1,)),))
@@ -278,20 +279,33 @@ def test_pair_starts_from_identical_snapshots():
 
 # -- exact oscillated reaction --------------------------------------------
 
+def reaction_only(p, grid):
+    """u(T) under the reaction alone: g times the exact factors of the
+    oscillated potential over every half-step of [0, T], in order."""
+    reaction = _OscillatedReaction(p.W, p.eps, p.regime.k, p.regime.gamma,
+                                   grid)
+    halves = 2 * grid.total_steps
+    times = np.arange(halves + 1) * (np.longdouble(grid.T) / halves)
+    u = p.g.build(grid)
+    for row in reaction._factors(times):
+        u = u * row
+    return u
+
+
 def test_pure_reaction_matches_quadrature():
     eps, k = 1 / 4, 1.0
     r = resolve_regime(k, GammaMode.UNIT, DIAG)
     grid = GridSpec(1, 15, 1.0 / 64, 0.25, checkpoints=8)
     p = ProblemSpec(W=DIAG, eps=eps, regime=r, f=F0, g=G1)
-    traj = solve_epsilon(p, grid, enforce_policy=False, disable_diffusion=True)
+    u_end = reaction_only(p, grid)
     x = grid.axes()[0]
-    t_end = traj.times[-1]
+    t_end = grid.T
     for i in (0, 7, 14):
         integral, _ = scipy.integrate.quad(
             lambda s: DIAG.evaluate(x[i] / eps, s / eps ** k),
             0.0, t_end, limit=200, epsabs=1e-13)
         want = math.sin(math.pi * x[i]) * math.exp(integral / eps)
-        assert traj.snapshots[-1][i] == pytest.approx(want, abs=1e-10)
+        assert u_end[i] == pytest.approx(want, abs=1e-10)
 
 
 def test_reaction_phase_accuracy_long_horizon():
@@ -305,21 +319,20 @@ def test_reaction_phase_accuracy_long_horizon():
     # swap in k = 3 via a fresh regime resolve
     r3 = resolve_regime(3.0, GammaMode.K_MINUS_1, W)
     p3 = ProblemSpec(W=W, eps=eps, regime=r3, f=F0, g=G1)
-    traj = solve_epsilon(p3, grid, enforce_policy=False,
-                         disable_diffusion=True)
+    u_end = reaction_only(p3, grid)
     x = grid.axes()[0]
     i = 6
     # closed form: per-mode integral of sin(2 pi (y + s/eps^k))
     epsk = eps ** 3
     amp = 1.0 / eps ** (3.0 - 1.0)
     y = x[i] / eps
-    t = traj.times[-1]
+    t = grid.T
 
     def primitive(tv):
         return -epsk * math.cos(2 * math.pi * (y + tv / epsk)) / (2 * math.pi)
 
     want = math.sin(math.pi * x[i]) * math.exp(amp * (primitive(t) - primitive(0.0)))
-    assert traj.snapshots[-1][i] == pytest.approx(want, rel=1e-9)
+    assert u_end[i] == pytest.approx(want, rel=1e-9)
 
 
 def test_epsilon_solver_enforces_policy():
@@ -329,18 +342,8 @@ def test_epsilon_solver_enforces_policy():
     coarse = GridSpec(1, 32, 1.0 / 64, 0.5, checkpoints=8)
     with pytest.raises(ResolutionViolation):
         solve_epsilon(p, coarse)
-    traj = solve_epsilon(p, coarse, enforce_policy=False,
-                         disable_diffusion=True)
+    traj = solve_epsilon(p, coarse, enforce_policy=False)
     assert traj.snapshots.shape == (9, 32)
-
-
-def test_disable_diffusion_rejects_a_source():
-    r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
-    f = SourceDescriptor((SourceTerm(1.0, (1,)),))
-    p = ProblemSpec(W=DIAG, eps=1 / 8, regime=r, f=f, g=G1)
-    with pytest.raises(ValueError, match="disable_diffusion"):
-        solve_epsilon(p, GridSpec(1, 32, 1.0 / 64, 0.5, checkpoints=8),
-                      enforce_policy=False, disable_diffusion=True)
 
 
 def test_epsilon_solver_dimension_mismatch():
@@ -361,7 +364,7 @@ def l2_rows(snapshots, grid):
 def heat_problem(grid):
     """The eps-problem with W = 0: the heat equation, marched in x."""
     r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
-    return ProblemSpec(W=TrigField.zero(grid.d), eps=0.25, regime=r, f=F0,
+    return ProblemSpec(W=TrigField(grid.d, []), eps=0.25, regime=r, f=F0,
                        g=G1)
 
 

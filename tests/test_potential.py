@@ -44,7 +44,7 @@ def test_from_sin_matches_sine():
 
 def test_constant_and_zero():
     assert TrigField.constant(1, 2.5).evaluate(0.3, 0.9) == pytest.approx(2.5)
-    assert TrigField.zero(3).is_zero()
+    assert TrigField(3, []).is_zero()
     assert TrigField.constant(2, 0.0).is_zero()
 
 
@@ -105,7 +105,7 @@ def test_product_coefficients_exactly_conjugate_symmetric():
     for _ in range(60):
         d = int(rng.integers(1, 3))
         p = random_field(d, rng=rng) * random_field(d, rng=rng)
-        for m, n, c in p.modes:
+        for m, n, c in p.terms:
             assert p.coeff(tuple(-v for v in m), -n) == c.conjugate()
         p.mean_tau()  # reality checks must accept every slice
         p.mean_y()
@@ -223,7 +223,7 @@ def test_antiderivative_tau_requires_oscillation():
 
 def test_scalar_series_round_trip():
     s = ScalarSeries({1: 0.5 - 0.25j, -1: 0.5 + 0.25j, 0: 2.0})
-    assert s.mean() == pytest.approx(2.0)
+    assert s.mean_full() == pytest.approx(2.0)
     assert s.evaluate(0.0) == pytest.approx(2.0 + 1.0)
     F = s.as_field(2)
     assert F.evaluate((0.3, 0.9), 0.25) == pytest.approx(s.evaluate(0.25))
@@ -231,7 +231,7 @@ def test_scalar_series_round_trip():
 
 def test_scalar_series_antiderivative_and_integral():
     s = ScalarSeries({2: -0.5j, -2: 0.5j})          # sin(4 pi tau)
-    P = s.antiderivative()
+    P = s.antiderivative_tau()
     assert P.evaluate(0.0) == pytest.approx(0.0, abs=1e-15)
     want = (1.0 - math.cos(4 * math.pi * 0.2)) / (4 * math.pi)
     assert P.evaluate(0.2) == pytest.approx(want, abs=1e-14)
@@ -239,7 +239,7 @@ def test_scalar_series_antiderivative_and_integral():
     # integral over whole periods of the oscillating part vanishes
     assert s.definite_integral(0.0, 3.0) == pytest.approx(0.0, abs=1e-13)
     with pytest.raises(NonPeriodicAntiderivative):
-        ScalarSeries.constant(1.0).antiderivative()
+        ScalarSeries.constant(1.0).antiderivative_tau()
 
 
 def test_scalar_series_definite_integral_constant_part():
@@ -251,7 +251,7 @@ def test_scalar_series_definite_integral_constant_part():
 
 
 def test_spatial_field_round_trip():
-    p = TrigField(1, {((1,), 0): 0.5, ((-1,), 0): 0.5})
+    p = TrigField(1, [(((1,), 0), 0.5), (((-1,), 0), 0.5)])
     assert p.evaluate(0.25) == pytest.approx(math.cos(math.pi / 2), abs=1e-14)
     assert p.mean_full() == pytest.approx(0.0)
     assert (2.0 * p).evaluate(0.1) == pytest.approx(2 * p.evaluate(0.1))
@@ -339,7 +339,7 @@ def test_descriptor_completes_hermitian_partner():
 def test_descriptor_round_trip():
     W = random_field(2)
     back = field_from_descriptor(descriptor_from_field(W))
-    assert back.modes == W.modes
+    assert back.terms == W.terms
 
 
 def test_descriptor_rejects_bad_input():

@@ -187,6 +187,19 @@ def test_mean_product_keeps_the_product_checks():
         mean_product(W, TrigField.constant(2, 1.0))
 
 
+def test_product_and_its_mean_overflow_on_the_same_inputs():
+    # Masses of 1e154 multiply to 1e308, a finite double, but the conjugate
+    # projection of the product adds two such coefficients before halving.
+    W = field_from_descriptor([{"m": [0], "n": 0, "re": 1e154}])
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        (W * W).mean_full()
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        mean_product(W, W)
+    # Below half the largest double both are finite and agree.
+    V = field_from_descriptor([{"m": [0], "n": 0, "re": 9e153}])
+    assert (V * V).mean_full() == mean_product(V, V) == 9e153 ** 2
+
+
 def _reference_product(a, b):
     """a * b with the first product loop: the list of all pair entries,
     merged by `_merge`, then projected onto the real fields."""

@@ -242,7 +242,7 @@ class TestRunSweep:
         assert rep.verdict == "pass"
 
     def test_zero_potential_degenerates(self):
-        rep = run_sweep(cheap_config(W=TrigField.zero(1),
+        rep = run_sweep(cheap_config(W=TrigField(1, []),
                                      run_richardson=False))
         assert rep.fit is None
         assert rep.verdict == "fail"
@@ -324,6 +324,13 @@ class TestOutputs:
                         excluded=(0.1,))
         assert fit.as_dict() == {"slope": 1.0, "intercept": -2.0, "r2": 0.99,
                                  "n_used": 4, "excluded": [0.1]}
+
+    def test_sweep_point_as_dict_key_order(self, cheap_report):
+        # report.json sorts its keys, but other writers may not.
+        d = cheap_report.points[0].as_dict()
+        assert list(d) == ["eps", "error", "richardson", "max_l2_eps",
+                           "max_l2_hom", "nx", "dt", "steps", "cells"]
+        assert d["cells"] == cheap_report.points[0].cells
 
 
 def test_sweep_point_solves_each_grid_pair_once(monkeypatch):

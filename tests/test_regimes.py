@@ -3,8 +3,7 @@
 import pytest
 
 from oscpot import (GammaMode, NoApplicableRegime, RegimeFamily, TrigField,
-                    UnsupportedK, iteration_depth, resolve_regime,
-                    theoretical_rate)
+                    UnsupportedK, iteration_depth, resolve_regime)
 from oscpot.regimes import REGIMES
 
 DIAG = TrigField.from_cos(1, [1], -1)                 # cos(2 pi (y - tau))
@@ -64,15 +63,21 @@ def test_regime_table_has_one_row_per_family():
 
 
 def test_theoretical_rates():
-    assert theoretical_rate(2.0, RegimeFamily.CRITICAL) == 1.0
-    assert theoretical_rate(2.5, RegimeFamily.SUPERCRITICAL) == 0.5
-    assert theoretical_rate(3.5, RegimeFamily.SUPERCRITICAL) == 1.0
-    assert theoretical_rate(1.5, RegimeFamily.SUBCRITICAL) == 0.5
-    assert theoretical_rate(1.2, RegimeFamily.SUBCRITICAL) == pytest.approx(0.2)
-    assert theoretical_rate(1.8, RegimeFamily.SUBCRITICAL) == pytest.approx(0.2)
-    assert theoretical_rate(0.5, RegimeFamily.SLOW_TIME) == 0.5
-    assert theoretical_rate(0.0, RegimeFamily.FROZEN_TIME) == 1.0
-    assert theoretical_rate(2.5, RegimeFamily.STRONG_FAST_TIME) == 0.5
+    # DIAG is admissible in every family: zero mean, no m = 0 and no n = 0
+    # modes.
+    for k, mode, family, rate in [
+            (2.0, GammaMode.UNIT, RegimeFamily.CRITICAL, 1.0),
+            (2.5, GammaMode.UNIT, RegimeFamily.SUPERCRITICAL, 0.5),
+            (3.5, GammaMode.UNIT, RegimeFamily.SUPERCRITICAL, 1.0),
+            (1.5, GammaMode.UNIT, RegimeFamily.SUBCRITICAL, 0.5),
+            (1.2, GammaMode.UNIT, RegimeFamily.SUBCRITICAL, pytest.approx(0.2)),
+            (1.8, GammaMode.UNIT, RegimeFamily.SUBCRITICAL, pytest.approx(0.2)),
+            (0.5, GammaMode.UNIT, RegimeFamily.SLOW_TIME, 0.5),
+            (0.0, GammaMode.UNIT, RegimeFamily.FROZEN_TIME, 1.0),
+            (2.5, GammaMode.K_MINUS_1, RegimeFamily.STRONG_FAST_TIME, 0.5)]:
+        spec = resolve_regime(k, mode, DIAG)
+        assert spec.family is family
+        assert spec.rate == rate
 
 
 def test_rate_attached_to_spec():
