@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__
 from .correctors import build_correctors, effective_potential, identity_report
-from .errors import (BlowUp, BudgetExceeded, DegenerateFit, NoApplicableRegime,
+from .errors import (BlowUp, BudgetExceeded, NoApplicableRegime,
                      ResolutionViolation, UnsupportedK)
 from .potential import (GammaMode, TrigField, descriptor_from_field,
                         field_from_descriptor)
@@ -517,9 +517,6 @@ def main(argv=None) -> int:
             OverflowError) as exc:
         print(f"resource violation: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except DegenerateFit as exc:
-        print(f"rate fit failed: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
 
 
 def console() -> None:

@@ -35,6 +35,10 @@ a few hundred KiB; a grid with more cells than that (every 2-D policy
 grid) takes one step per block.  The sine transforms call pocketfft's
 DST-I directly, which skips scipy.fft's argument handling on every call.
 
+`solve_pair` keeps the eps-problem's snapshots and takes the homogenized
+checkpoints one at a time, through a callback, so it holds one snapshot
+array, not two.
+
 Resolution policy for the eps-problem: at least 16 grid points per eps
 (spatial oscillation) and dt no larger than min(eps^k, eps^(gamma+1))/8;
 eps^k resolves the potential's time oscillation, eps^(gamma+1) keeps the
@@ -42,7 +46,12 @@ splitting commutator error in check.  Grids built by `policy_grid` use 32
 points per eps: the second-difference error on the eps-wavelength
 component scales like (2*pi*h/eps)^2, and 16 points leave ~15% relative
 error on the corrector-sized part of u_eps - u_0, too coarse for the 10%
-refinement certificate used by rate sweeps.
+refinement certificate used by rate sweeps.  `policy_grid` then rounds
+nx+1 up to the next 5-smooth number (2^a 3^b 5^c): pocketfft computes a
+DST-I of length nx through a real FFT of length 2(nx+1), which is several
+times slower when nx+1 has a large prime factor (nx 256: 257).
+`GridSpec.refined` maps nx+1 to 2(nx+1), so refined policy grids stay
+smooth.  Grids given by the user are taken as they are.
 """
 
 from __future__ import annotations
@@ -158,7 +167,7 @@ class GridSpec:
         return self.nx ** self.d * self.total_steps
 
     def refined(self) -> "GridSpec":
-        """Halve both mesh sizes (nested grid: nx -> 2nx+1, dt -> dt/2)."""
+        """Halve both mesh sizes (nested: nx+1 -> 2(nx+1), dt -> dt/2)."""
         return GridSpec(self.d, 2 * self.nx + 1, self.dt_effective / 2.0,
                         self.T, self.checkpoints)
 
@@ -181,15 +190,31 @@ def _step_count(interval: float, dt: float) -> float:
 
 def policy_grid(eps: float, k: float, gamma: float, T: float, d: int,
                 checkpoints: int = 64) -> GridSpec:
-    """Default grid for this eps: double the policy floor in space, and
-    dt under both the oscillation cap and the diffusive-relaxation cap."""
+    """Default grid for this eps: double the policy floor in space, nx+1
+    rounded up to a 5-smooth number (see the module docstring), and dt
+    under both the oscillation cap and the diffusive-relaxation cap."""
     interval = T / checkpoints
     dt_cap = min(min(eps ** k, eps ** (gamma + 1.0)) / DT_DIVISOR,
                  diffusive_cap(eps))
     # First, so that an eps whose 32/eps overflows (eps^2 is then 0) ends here.
     steps = max(1, math.ceil(_step_count(interval, dt_cap)))
-    nx = max(8, math.ceil(POINTS_PER_EPS_DEFAULT / eps))
+    floor = max(8, math.ceil(POINTS_PER_EPS_DEFAULT / eps))
+    nx = _five_smooth_ceil(floor + 1) - 1
     return GridSpec(d, nx, interval / steps, T, checkpoints)
+
+
+def _five_smooth_ceil(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def diffusive_cap(eps: float) -> float:
@@ -304,7 +329,7 @@ class Trajectory:
 
     grid: GridSpec
     times: np.ndarray
-    snapshots: np.ndarray
+    snapshots: np.ndarray | None
     max_l2: float
 
 
@@ -424,19 +449,21 @@ def _block_steps(grid: GridSpec) -> int:
 
 
 def _march(grid: GridSpec, u0: np.ndarray, block: Callable,
-           label: str) -> Trajectory:
-    """Run the march to T in blocks of steps (see the module docstring).
+           label: str, checkpoint: Callable) -> float:
+    """Run the march to T in blocks of steps (see the module docstring)
+    and return the running maximum of the L2 norm.
 
     block(times) gets the long-double boundary times t_0 < ... < t_2s of
     a block's half-steps and returns step(u, i), which advances u over
-    step i, from times[2i] through times[2i+1] to times[2i+2].  numpy's
-    overflow and NaN warnings are off: the norm guard raises BlowUp."""
+    step i, from times[2i] through times[2i+1] to times[2i+2].
+    checkpoint(i, u) gets the state at checkpoint time i, u0 first.
+    numpy's overflow and NaN warnings are off: the norm guard raises
+    BlowUp."""
     half_ld = np.longdouble(grid.interval) / grid.steps_per_interval / 2
     per_block = _block_steps(grid)
     per_interval = grid.steps_per_interval
     u = u0
-    snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
-    snaps[0] = u
+    checkpoint(0, u)
     max_l2 = _l2(u, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         for ci in range(grid.checkpoints):
@@ -455,9 +482,8 @@ def _march(grid: GridSpec, u0: np.ndarray, block: Callable,
                             f"t = {float(times[2 * i + 2]):.6g} exceeds "
                             f"{BLOWUP_LIMIT:.0e}")
                     max_l2 = max(max_l2, nrm)
-            snaps[ci + 1] = u
-    return Trajectory(grid=grid, times=grid.checkpoint_times(),
-                      snapshots=snaps, max_l2=max_l2)
+            checkpoint(ci + 1, u)
+    return max_l2
 
 
 def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
@@ -492,13 +518,31 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
 
         return step
 
-    return _march(grid, p.g.build(grid), block, label=f"eps={p.eps:g}")
+    snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
+    max_l2 = _march(grid, p.g.build(grid), block, f"eps={p.eps:g}",
+                    snaps.__setitem__)
+    return Trajectory(grid=grid, times=grid.checkpoint_times(),
+                      snapshots=snaps, max_l2=max_l2)
+
+
+def _decay(ceff: TrigField, a: float, b: float) -> float:
+    """exp(-int_a^b c_eff); inf where that overflows a double, which the
+    norm guard then reports."""
+    try:
+        return math.exp(-ceff.definite_integral(a, b))
+    except OverflowError:
+        return math.inf
 
 
 def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
-                      g: InitialDescriptor, grid: GridSpec) -> Trajectory:
+                      g: InitialDescriptor, grid: GridSpec,
+                      checkpoint: Callable | None = None) -> Trajectory:
     """March the homogenized problem du/dt - Lap u + c_eff u = f on sine
-    coefficients (see the module docstring); snapshot 0 is g itself."""
+    coefficients (see the module docstring); snapshot 0 is g itself.
+
+    With `checkpoint`, checkpoint(i, u) gets snapshot i in x, in one row
+    array that the next snapshot overwrites, and the Trajectory keeps no
+    snapshots (None)."""
     if not isinstance(ceff, TrigField):
         ceff = ScalarSeries.constant(ceff)
     cn = _Diffusion(grid)
@@ -511,19 +555,26 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
 
         def step(v, i):
             a, m, b = t[2 * i], t[2 * i + 1], t[2 * i + 2]
-            v = cn.gain * (math.exp(-ceff.definite_integral(a, m)) * v)
+            v = cn.gain * (_decay(ceff, a, m) * v)
             for term, s_hat in sources:
                 v = v + (term.amplitude(a) + term.amplitude(b)) * s_hat
-            return math.exp(-ceff.definite_integral(m, b)) * v
+            return _decay(ceff, m, b) * v
 
         return step
 
+    snaps = None
+    if checkpoint is None:
+        snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
+        checkpoint = snaps.__setitem__
     u0 = g.build(grid)
-    traj = _march(grid, _dst(u0, 1), block, label="homogenized")
-    traj.snapshots[0] = u0
-    for i in range(1, grid.checkpoints + 1):
-        _dst(traj.snapshots[i], 1, traj.snapshots[i])
-    return traj
+    row = np.empty(grid.shape)
+
+    def to_x(i, v):
+        checkpoint(i, u0 if i == 0 else _dst(v, 1, row))
+
+    max_l2 = _march(grid, _dst(u0, 1), block, "homogenized", to_x)
+    return Trajectory(grid=grid, times=grid.checkpoint_times(),
+                      snapshots=snaps, max_l2=max_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +585,16 @@ def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
                enforce_policy: bool = True) -> PairNorms:
     """Solve the eps-problem and its homogenized limit on one grid and
     measure both, and their distance, at every checkpoint."""
+    # The eps-problem runs first, so its BlowUp is the one reported when
+    # both would blow up.
     u_eps = solve_epsilon(p, grid, enforce_policy=enforce_policy)
-    u_hom = solve_homogenized(ceff, p.f, p.g, grid)
-    # One checkpoint row at a time, so no difference array of the whole
-    # trajectory is built.
-    sums = np.array([(np.sum(a ** 2), np.sum(b ** 2), np.sum((a - b) ** 2))
-                     for a, b in zip(u_eps.snapshots, u_hom.snapshots)])
+    sums = np.empty((grid.checkpoints + 1, 3))
+
+    def measure(i, b):
+        a = u_eps.snapshots[i]
+        sums[i] = np.sum(a ** 2), np.sum(b ** 2), np.sum((a - b) ** 2)
+
+    u_hom = solve_homogenized(ceff, p.f, p.g, grid, measure)
     l2_eps, l2_hom, l2_diff = grid.h ** (grid.d / 2.0) * np.sqrt(sums.T)
     return PairNorms(times=u_eps.times, l2_eps=l2_eps, l2_hom=l2_hom,
                      l2_diff=l2_diff, max_l2_eps=u_eps.max_l2,
@@ -548,13 +603,16 @@ def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
 
 def pair_cost(W: TrigField, f: SourceDescriptor,
               grid: GridSpec) -> tuple[int, int]:
-    """(cell updates, peak bytes) of solve_pair on `grid`: both snapshot
-    arrays, one complex profile per W mode and one per source, and one
-    block of reaction factors.  A block's half-step rows (two per step)
-    peak at 6 doubles per cell: the factors of the block before, and the
-    complex mode sum and mode product of the block being built."""
+    """(cell updates, peak bytes) of solve_pair on `grid`: the eps-problem's
+    snapshot array, four arrays of the march (the CN gain and solve
+    weight, the state and its transform, which in the homogenized march
+    is the row handed to the norm sums), one complex profile per W mode
+    and one per source, and one block of reaction factors.  A block's
+    half-step rows (two per step) peak at 6 doubles per cell: the factors
+    of the block before, and the complex mode sum and mode product of the
+    block being built."""
     cells = grid.nx ** grid.d
-    per_cell = 2 * (grid.checkpoints + 1) + 2 * len(W.terms) + len(f.terms)
+    per_cell = (grid.checkpoints + 5) + 2 * len(W.terms) + len(f.terms)
     block = 2 * 6 * _block_steps(grid) * cells
     return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
 

@@ -287,6 +287,15 @@ class TestSolveCommand:
         assert manifest["epsilon"] == 0.25
         assert "error (max over checkpoints, L2)" in capsys.readouterr().out
 
+    def test_grid_nx_from_the_config_is_not_rounded(self, write_cfg,
+                                                    tmp_path):
+        # The policy grid at eps = 1/8 has nx 269 (nx+1 = 257 rounded up
+        # to 270 = 2 * 3^3 * 5); a grid.nx that the config gives is kept.
+        cfg = base_config(epsilon=0.125, grid={"nx": 256, "checkpoints": 8})
+        assert run_cli("solve", write_cfg(cfg), tmp_path) == cli.EXIT_OK
+        blob = json.loads((tmp_path / "solve.json").read_text())
+        assert blob["grid"]["nx"] == 256
+
     def test_solve_norms_agree_and_rerun_byte_identical(self, write_cfg,
                                                         tmp_path):
         cfg = base_config(epsilon=0.25, grid={"checkpoints": 8})
@@ -553,8 +562,8 @@ class TestBadValues:
             capsys.readouterr().err
 
     def test_solve_memory_gate_exits_before_allocating(self, tmp_path):
-        # eps = 0.01 in 2-D: nx 3,200, so each 65-snapshot array of the
-        # pair would take 5.3 GB.  The address-space cap turns an
+        # eps = 0.01 in 2-D: nx 3,239, so the pair's 65-snapshot array
+        # would take 5.5 GB.  The address-space cap turns an
         # allocation attempt into a quick MemoryError, not a machine
         # running out of memory.
         cfg = base_config(epsilon=0.01, potential={"d": 2, "modes": [
@@ -709,7 +718,7 @@ class TestBadValues:
 
     def test_sweep_memory_gate_exits_before_allocating(self, tmp_path):
         # A 2-D ladder from eps = 1/64: the first point alone would hold
-        # two (97, 2048, 2048) snapshot arrays.
+        # a (97, 2159, 2159) snapshot array.
         cfg = base_config(potential={"d": 2, "modes": [
             {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0}]},
             sweep={"epsilons": [1 / 64, 1 / 72, 1 / 80, 1 / 96]})
@@ -718,5 +727,5 @@ class TestBadValues:
                                   preexec_fn=limit_address_space_2gib)
         assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
         assert proc.stderr.startswith("resource violation: sweep needs about")
-        assert "GiB for nx = 6145 in 2d" in proc.stderr
+        assert "GiB for nx = 6249 in 2d" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1

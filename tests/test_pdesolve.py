@@ -392,6 +392,33 @@ def test_pair_norm_columns_and_maxima():
     assert norms.error == norms.l2_diff.max()
 
 
+@pytest.mark.parametrize("grid", [
+    GridSpec(1, 64, 1.0 / 2048, 1.0 / 16, checkpoints=8),
+    GridSpec(2, 24, 1.0 / 2048, 1.0 / 16, checkpoints=8),
+], ids=["1d", "2d"])
+def test_pair_norms_are_the_row_formula_on_two_eager_solves(grid):
+    # A time-dependent c_eff and a source, so both marches do all their
+    # work; the streamed checkpoints must give the same bits.
+    one = (1,) * grid.d
+    W = frozen_w(grid.d)
+    r = resolve_regime(0.0, GammaMode.UNIT, W)
+    p = ProblemSpec(W=W, eps=0.25, regime=r,
+                    f=SourceDescriptor((SourceTerm(1.5, one, -0.3, 7.0),)),
+                    g=InitialDescriptor((InitialTerm(1.0, one),
+                                         InitialTerm(0.3, (3,) * grid.d))))
+    ceff = effective_potential(r, W)
+    norms = solve_pair(p, ceff, grid, enforce_policy=False)
+    u_eps = solve_epsilon(p, grid, enforce_policy=False)
+    u_hom = solve_homogenized(ceff, p.f, p.g, grid)
+    sums = np.array([(np.sum(a ** 2), np.sum(b ** 2), np.sum((a - b) ** 2))
+                     for a, b in zip(u_eps.snapshots, u_hom.snapshots)])
+    want = grid.h ** (grid.d / 2.0) * np.sqrt(sums.T)
+    for got, column in zip((norms.l2_eps, norms.l2_hom, norms.l2_diff), want):
+        assert np.array_equal(got, column)
+    assert norms.max_l2_eps == u_eps.max_l2
+    assert norms.max_l2_hom == u_hom.max_l2
+
+
 def test_one_problem_in_both_marches_measures_round_off():
     grid = GridSpec(1, 16, 1e-2, 0.1, checkpoints=10)
     norms = solve_pair(heat_problem(grid), 0.0, grid, enforce_policy=False)
@@ -543,6 +570,13 @@ def test_blowup_guard_trips():
         solve_homogenized(-2000.0, F0, G1, grid)
 
 
+def test_overflowing_decay_factor_is_a_homogenized_blowup():
+    # exp(1e12 / 2048) over the first half-step is past the largest double.
+    grid = GridSpec(1, 64, 1 / 1024, 0.125, checkpoints=8)
+    with pytest.raises(BlowUp, match="^homogenized: L2 norm"):
+        solve_homogenized(-1e12, F0, G1, grid)
+
+
 def richardson(p, grid, **kw):
     """Refinement residual of the error under one joint refinement."""
     ceff = effective_potential(p.regime, p.W)
@@ -584,13 +618,13 @@ def test_repeat_solve_is_bitwise_identical():
 # -- cost model ------------------------------------------------------------
 
 def test_pair_memory_estimate_bounds_the_traced_peak():
-    # The 2-D benchmark solve's grid (eps = 1/8, nx 256, 64 checkpoints)
+    # The 2-D benchmark solve's grid (eps = 1/8, nx 269, 64 checkpoints)
     # over a short T: the peak does not depend on the number of steps.
     W = frozen_w(2)
     regime = resolve_regime(0.0, GammaMode.UNIT, W)
     p = ProblemSpec(W=W, eps=1 / 8, regime=regime, f=F0,
                     g=InitialDescriptor((InitialTerm(1.0, (1, 1)),)))
-    grid = GridSpec(2, 256, 1.0 / 16384, 1.0 / 256, checkpoints=64)
+    grid = GridSpec(2, 269, 1.0 / 16384, 1.0 / 256, checkpoints=64)
     ceff = effective_potential(regime, W)
     tracemalloc.start()
     try:
@@ -605,12 +639,12 @@ def test_pair_memory_estimate_bounds_the_traced_peak():
 def test_cost_gate_counts_updates_and_memory_per_worker():
     # Grids whose pair needs between 2 and 4 GiB; no grid allocates.
     W = frozen_w(2)
-    big = GridSpec(2, 1200, 1.0 / 64, 1.5, checkpoints=96)
+    big = GridSpec(2, 1700, 1.0 / 64, 1.5, checkpoints=96)
     assert 2 * 2 ** 30 < pair_cost(W, F0, big)[1] < MEMORY_LIMIT
     grids = [big, big]
     total = 2 * 2 * big.cell_updates()
     check_cost("sweep", W, F0, grids, total, workers=1)
-    with pytest.raises(BudgetExceeded, match="GiB for nx = 1200 in 2d"):
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 1700 in 2d"):
         check_cost("sweep", W, F0, grids, total, workers=2)
     with pytest.raises(BudgetExceeded, match="cell updates, budget is"):
         check_cost("sweep", W, F0, grids, total - 1)
@@ -620,12 +654,12 @@ def test_cost_gate_prices_a_certified_point_by_its_larger_pair():
     # A point keeps only the norms of its coarse pair while the refined
     # pair runs, so the two pairs together may exceed the limit.
     W = frozen_w(2)
-    coarse = GridSpec(2, 900, 1.0 / 64, 1.0, checkpoints=64)
+    coarse = GridSpec(2, 1150, 1.0 / 64, 1.0, checkpoints=64)
     fine = coarse.refined()
     need = [pair_cost(W, F0, g)[1] for g in (coarse, fine)]
     assert need[1] < MEMORY_LIMIT < sum(need)
     check_cost("sweep", W, F0, [coarse, fine], None)
-    with pytest.raises(BudgetExceeded, match="GiB for nx = 1801 in 2d"):
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 2301 in 2d"):
         check_cost("sweep", W, F0, [coarse, fine] * 2, None, workers=2)
 
 

@@ -1,10 +1,12 @@
-"""Property tests for the one coefficient type and the regime table.
+"""Property tests for the one coefficient type, the regime table and
+the policy grids.
 
 Random real trigonometric polynomials in d = 0 (functions of tau), 1 and
 2 space dimensions are checked against pointwise evaluation, which
 shares no code with the coefficient algebra beyond the mode sum itself.
 """
 
+import bisect
 import copy
 import json
 import math
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscpot import (ScalarSeries, TrigField, cli, field_from_descriptor,
-                    iteration_depth)
+                    iteration_depth, policy_grid)
 from oscpot.correctors import grad_pair_mean, mean_product
 from oscpot.potential import _build, _merge, _neg
 
@@ -249,6 +251,53 @@ def test_iteration_depth_is_the_smallest_admissible_stage(k):
     i = iteration_depth(k)
     assert i * (k - 1.0) >= k - 1e-12
     assert i == 1 or (i - 1) * (k - 1.0) < k - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Policy grids: nx+1 rounded up to a 5-smooth number
+# ---------------------------------------------------------------------------
+
+def _five_smooth_up_to(limit):
+    """Every 2^a 3^b 5^c <= limit, sorted."""
+    out = []
+    p2 = 1
+    while p2 <= limit:
+        p23 = p2
+        while p23 <= limit:
+            p235 = p23
+            while p235 <= limit:
+                out.append(p235)
+                p235 *= 5
+            p23 *= 3
+        p2 *= 2
+    return sorted(out)
+
+
+FIVE_SMOOTH = _five_smooth_up_to(10 ** 15)
+
+
+def _is_five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+# Below eps ~ 1e-150 no double-precision time grid exists, and policy_grid
+# raises BudgetExceeded (test_pdesolve covers that).
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-12, 0.25))
+@example(0.25)
+@example(1 / 8)
+@example(1 / 96)
+def test_policy_grid_nx_plus_one_is_the_next_five_smooth_number(eps):
+    grid = policy_grid(eps, 2.0, 1.0, 0.5, 1)
+    floor = math.ceil(32 / eps)
+    assert grid.nx >= 32 / eps
+    assert grid.nx + 1 == FIVE_SMOOTH[bisect.bisect_left(FIVE_SMOOTH,
+                                                         floor + 1)]
+    assert _is_five_smooth(grid.nx + 1)
+    assert _is_five_smooth(grid.refined().nx + 1)
 
 
 # ---------------------------------------------------------------------------
