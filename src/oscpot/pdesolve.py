@@ -22,16 +22,29 @@ coefficients: c_eff does not depend on x, so its reaction factor is a
 scalar and the CN step a per-coefficient gain.  The transform keeps the
 discrete L2 norm, so the blow-up guard reads the same as in x.
 
+Both marches add the declarative source in sine space: each term's
+profile enters the CN step as s_hat = solve_weight * dt/2 *
+DST(profile), computed once (`_Diffusion`), so an eps step takes two
+transforms.  A `source_fn` given to `solve_epsilon` is summed in x and
+transformed at every step.  The eps march stores each conjugate pair of
+the real W once, as two real rows, so the exponent of a half-step's
+reaction factor is a real contraction of per-pair weights with those
+rows (`_OscillatedReaction`).
+
 Block stepping: the march takes the steps of a checkpoint interval in
 blocks.  For each block it computes the long-double half-step boundary
 times once, and the eps-problem builds the reaction factors of all the
-block's half-steps in one vectorised pass (row j is the multiplier over
-the j-th half-step), with the same per-mode arithmetic, in the same mode
-order, as a factor built for one half-step alone, so the result does not
-depend on the blocking.  Steps then run one at a time: factor row 2i,
-CN, row 2i+1, and the blow-up guard after each.  A block holds at most
-BLOCK_CELLS cells (steps times grid cells), so its factor arrays stay
-a few hundred KiB; a grid with more cells than that (every 2-D policy
+block's half-steps in one contraction (row j is the multiplier over the
+j-th half-step).  The result does not depend on the blocking: every
+weight is computed elementwise from its own two times, and the
+contraction is numpy's einsum, which adds each cell's products of
+weights and profile rows one after another in profile order, exactly as
+a factor built for one half-step alone does.  A BLAS matrix product
+would not do: its summation order varies with the number of half-steps.
+Steps then run one at a time, in place on the state: factor row 2i, CN,
+row 2i+1, and the blow-up guard after each.  A block holds at most
+BLOCK_CELLS cells (steps times grid cells), so its factor arrays stay a
+few hundred KiB; a grid with more cells than that (every 2-D policy
 grid) takes one step per block.  The sine transforms call pocketfft's
 DST-I directly, which skips scipy.fft's argument handling on every call.
 
@@ -374,8 +387,12 @@ def _dst(u: np.ndarray, inorm: int, out: np.ndarray | None = None
 
 
 class _Diffusion:
-    def __init__(self, grid: GridSpec,
-                 source_fn: Callable[[float], np.ndarray] | None = None):
+    """The CN step in sine space: the gain per coefficient, the solve
+    weight, and s_hat = solve_weight * dt/2 * DST(profile) per source
+    term.  `inorm` picks the DST: 0 for the eps march, whose state is in
+    x, 1 for the homogenized march on orthonormal coefficients."""
+
+    def __init__(self, grid: GridSpec, f: SourceDescriptor, inorm: int):
         nx, h, dt = grid.nx, grid.h, grid.dt_effective
         j = np.arange(1, nx + 1)
         lam1 = -(4.0 / h ** 2) * np.sin(j * math.pi * h / 2.0) ** 2
@@ -384,57 +401,96 @@ class _Diffusion:
         self.gain = (1.0 + z) / (1.0 - z)
         self.solve_weight = 1.0 / (1.0 - z)
         self.half_dt = 0.5 * dt
-        self.source_fn = source_fn
+        self.sources = [(term, self.solve_weight * self.half_dt
+                         * _dst(_sine_profile(grid, term.j), inorm))
+                        for term in f.terms]
 
-    def step(self, u: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
-        uh = self.gain * _dst(u, 0)
-        if self.source_fn is not None:
-            f_sum = self.source_fn(t_a) + self.source_fn(t_b)
-            uh += self.solve_weight * _dst(self.half_dt * f_sum, 0)
-        return _dst(uh, 2, uh)
+    def add_sources(self, uh: np.ndarray, a: float, b: float) -> None:
+        """uh += the trapezoidal source of the step from a to b, that is
+        (amp(a) + amp(b)) * s_hat per term, in place."""
+        for term, s_hat in self.sources:
+            uh += (term.amplitude(a) + term.amplitude(b)) * s_hat
+
+
+def _conjugate_pairs(W: TrigField) -> list[tuple[tuple[int, ...], int,
+                                                 complex]]:
+    """W's modes, one (m, n, C) per conjugate pair, in W's order: C =
+    c + conj(c') for the pair of (m, n, c) and its partner (-m, -n, c'),
+    which is 2c when c' is the exact conjugate, and C = c for the
+    self-conjugate constant mode.  The pair adds Re(C * mode) to W."""
+    coeff = W.coeff_map()
+    pairs = []
+    for m, n, c in W.terms:
+        partner = (tuple(-v for v in m), -n)
+        if (m, n) > partner:
+            pairs.append((m, n, c + coeff[partner].conjugate()))
+        elif (m, n) == partner:
+            pairs.append((m, n, c))
+    return pairs
 
 
 class _OscillatedReaction:
     """Multipliers exp(eps^(-gamma) * int_[ta,tb] W(x/eps, s/eps^k) ds).
 
-    Per mode (m, n, c) the time integral over [ta, tb] is
-        c * exp(2 pi i m.x/eps) * eps^k (e(n tb/eps^k) - e(n ta/eps^k)) / (2 pi i n)
-    for n != 0 and c * exp(...) * (tb - ta) for n = 0, with e(z) =
-    exp(2 pi i z).  Torus arguments are reduced mod 1 in long double so
-    the phase stays accurate when t/eps^k is large.
+    Per conjugate pair (m, n, C) of W (see `_conjugate_pairs`) the
+    integral over [ta, tb] is Re(C e_m(x) w_n), with e_m(x) =
+    exp(2 pi i m.x/eps) and w_n = tb - ta for n = 0, else
+        w_n = eps^k (e(n tb/eps^k) - e(n ta/eps^k)) / (2 pi i n),
+    e(z) = exp(2 pi i z).  Torus arguments are reduced mod 1 in long
+    double so the phase stays accurate when t/eps^k is large.  The pair
+    is stored once, as the real rows scale*Re(C e_m) and scale*Im(C e_m)
+    of `profiles`, so that the exponent is the real contraction
+        Re(w_n) * row_re - Im(w_n) * row_im
+    summed over the pairs.
     """
 
     def __init__(self, W: TrigField, eps: float, k: float, gamma: float,
                  grid: GridSpec):
         eps_ld = np.longdouble(eps)
         self.eps_k_ld = eps_ld ** np.longdouble(k)
-        self.eps_k = float(self.eps_k_ld)
-        self.scale = float(eps_ld ** np.longdouble(-gamma))
-        self.d = grid.d
+        eps_k = float(self.eps_k_ld)
+        scale = float(eps_ld ** np.longdouble(-gamma))
         ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
               .astype(float) for x in grid.mesh()]
-        self.spatial: list[tuple[int, np.ndarray]] = []
-        for m, n, c in W.terms:
+        pairs = _conjugate_pairs(W)
+        self.profiles = np.empty((2 * len(pairs), grid.nx ** grid.d))
+        for p, (m, n, c) in enumerate(pairs):
             phase = sum((mj * y for mj, y in zip(m, ys) if mj),
                         np.zeros(grid.shape))
-            self.spatial.append((n, c * np.exp(2j * math.pi * phase)))
+            s = (c * np.exp(2j * math.pi * phase)).ravel()
+            self.profiles[2 * p] = scale * s.real
+            self.profiles[2 * p + 1] = scale * s.imag
+        ns = np.array([n for _, n, _ in pairs], dtype=float)
+        #: Per pair 2 pi n and eps^k / (2 pi n) (0 for n = 0); the pairs
+        #: with n = 0.
+        self.rate = 2.0 * math.pi * ns
+        self.lift = np.divide(eps_k, self.rate, out=np.zeros_like(ns),
+                              where=ns != 0)[:, None]
+        self.still = np.flatnonzero(ns == 0)
+        self.shape = grid.shape
 
     def _factors(self, times: np.ndarray) -> np.ndarray:
         """Row j: the multiplier over [times[j], times[j+1]] (long double
-        times).  The modes are summed in W's order for every row at once."""
+        times), shaped like the grid.
+
+        With theta = 2 pi n tau, the weights of a pair's rows are
+        (Re w_n, -Im w_n) = eps^k/(2 pi n) (sin, cos)(theta) differenced
+        over the half-step, or (tb - ta, 0) for n = 0.  The exponent is
+        einsum's contraction of the weights with the rows (not a matrix
+        product; see the module docstring)."""
         tau = np.remainder(times / self.eps_k_ld,
                            np.longdouble(1.0)).astype(float)
-        column = (len(times) - 1,) + (1,) * self.d
-        total = np.zeros(column, dtype=complex)
-        for n, s in self.spatial:
-            if n == 0:
-                weight = np.diff(times).astype(float)
-            else:
-                two_pi_in = 2j * math.pi * n
-                e = np.exp(two_pi_in * tau)
-                weight = self.eps_k * (e[1:] - e[:-1]) / two_pi_in
-            total = total + weight.reshape(column) * s
-        return np.exp(self.scale * np.real(total))
+        theta = np.multiply.outer(tau, self.rate)
+        ring = np.empty(theta.shape + (2,))
+        np.sin(theta, out=ring[..., 0])
+        np.cos(theta, out=ring[..., 1])
+        weights = ring[1:] - ring[:-1]
+        weights *= self.lift
+        if len(self.still):
+            weights[:, self.still, 0] = np.diff(times).astype(float)[:, None]
+        rows = weights.reshape(len(times) - 1, len(self.profiles))
+        total = np.einsum("ik,kj->ij", rows, self.profiles)
+        return np.exp(total, out=total).reshape((-1,) + self.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +559,28 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
     if enforce_policy:
         check_resolution(grid, p.eps, p.regime.k, p.regime.gamma)
     reaction = _OscillatedReaction(p.W, p.eps, p.regime.k, p.regime.gamma, grid)
-    if source_fn is None:
-        source_fn = p.f.compile(grid)
-    diffuse = _Diffusion(grid, source_fn).step
+    # source_fn replaces the declarative source and is added in x.
+    f = p.f if source_fn is None else SourceDescriptor()
+    cn = _Diffusion(grid, f, 0)
 
     def block(times):
         factors = reaction._factors(times)
         t = times.astype(float).tolist()
 
         def step(u, i):
-            u = u * factors[2 * i]
-            u = diffuse(u, t[2 * i], t[2 * i + 2])
-            return u * factors[2 * i + 1]
+            # In place: u is the march's own state, and the transforms
+            # and the source all act on it.
+            a, b = t[2 * i], t[2 * i + 2]
+            u *= factors[2 * i]
+            _dst(u, 0, u)
+            u *= cn.gain
+            if source_fn is not None:
+                f_sum = source_fn(a) + source_fn(b)
+                u += cn.solve_weight * _dst(cn.half_dt * f_sum, 0)
+            cn.add_sources(u, a, b)
+            _dst(u, 2, u)
+            u *= factors[2 * i + 1]
+            return u
 
         return step
 
@@ -545,20 +611,19 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
     snapshots (None)."""
     if not isinstance(ceff, TrigField):
         ceff = ScalarSeries.constant(ceff)
-    cn = _Diffusion(grid)
-    sources = [(term, cn.solve_weight * cn.half_dt
-                * _dst(_sine_profile(grid, term.j), 1))
-               for term in f.terms]
+    cn = _Diffusion(grid, f, 1)
 
     def block(times):
         t = times.astype(float).tolist()
 
         def step(v, i):
+            # In place, as in solve_epsilon.
             a, m, b = t[2 * i], t[2 * i + 1], t[2 * i + 2]
-            v = cn.gain * (_decay(ceff, a, m) * v)
-            for term, s_hat in sources:
-                v = v + (term.amplitude(a) + term.amplitude(b)) * s_hat
-            return _decay(ceff, m, b) * v
+            v *= _decay(ceff, a, m)
+            v *= cn.gain
+            cn.add_sources(v, a, b)
+            v *= _decay(ceff, m, b)
+            return v
 
         return step
 
@@ -603,17 +668,18 @@ def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
 
 def pair_cost(W: TrigField, f: SourceDescriptor,
               grid: GridSpec) -> tuple[int, int]:
-    """(cell updates, peak bytes) of solve_pair on `grid`: the eps-problem's
-    snapshot array, four arrays of the march (the CN gain and solve
-    weight, the state and its transform, which in the homogenized march
-    is the row handed to the norm sums), one complex profile per W mode
-    and one per source, and one block of reaction factors.  A block's
-    half-step rows (two per step) peak at 6 doubles per cell: the factors
-    of the block before, and the complex mode sum and mode product of the
-    block being built."""
+    """(cell updates, peak bytes) of solve_pair on `grid`.  The peak is in
+    the eps march: the snapshot array; four arrays of the march (the CN
+    gain and solve weight, the state, and one for a step's temporaries,
+    such as the row the homogenized march hands to the norm sums); two
+    real rows per conjugate pair of W; one sine-space profile per source
+    term; and two blocks of reaction factors, the block before and the
+    block being built, each one double per cell for each of a step's two
+    half-steps."""
     cells = grid.nx ** grid.d
-    per_cell = (grid.checkpoints + 5) + 2 * len(W.terms) + len(f.terms)
-    block = 2 * 6 * _block_steps(grid) * cells
+    per_cell = ((grid.checkpoints + 5) + 2 * len(_conjugate_pairs(W))
+                + len(f.terms))
+    block = 2 * 2 * _block_steps(grid) * cells
     return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
 
 

@@ -17,6 +17,7 @@ from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridSpec,
 from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
                              DIFFUSIVE_DT_DIVISOR, DT_DIVISOR, MEMORY_LIMIT,
                              POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
+                             _conjugate_pairs, _Diffusion,
                              _OscillatedReaction, _dst, check_cost,
                              check_resolution, pair_cost, refinement_residual,
                              solve_pair)
@@ -335,6 +336,108 @@ def test_reaction_phase_accuracy_long_horizon():
     assert u_end[i] == pytest.approx(want, rel=1e-9)
 
 
+#: With the 12-pair W (24 rows) on nx 539, a BLAS matrix product gives a
+#: half-step different bits in a 2-row block than in a 30-row one.
+FACTOR_GRIDS = pytest.mark.parametrize(
+    "grid", [GridSpec(1, 539, 1 / 1024, 1.0), GridSpec(2, 24, 1 / 1024, 1.0)],
+    ids=["1d", "2d"])
+
+
+def complex_mode_factors(W, eps, k, gamma, grid, times):
+    """The reaction factors as a complex sum over every mode of W, one
+    mode at a time: exp(scale * Re sum_modes w_n(t) c e_m(x))."""
+    eps_ld = np.longdouble(eps)
+    eps_k_ld = eps_ld ** np.longdouble(k)
+    ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
+          .astype(float) for x in grid.mesh()]
+    tau = np.remainder(times / eps_k_ld, np.longdouble(1.0)).astype(float)
+    column = (len(times) - 1,) + (1,) * grid.d
+    total = np.zeros(column[:1] + grid.shape, dtype=complex)
+    for m, n, c in W.terms:
+        s = c * np.exp(2j * math.pi * sum(
+            (mj * y for mj, y in zip(m, ys) if mj), np.zeros(grid.shape)))
+        if n == 0:
+            weight = np.diff(times).astype(float)
+        else:
+            e = np.exp(2j * math.pi * n * tau)
+            weight = float(eps_k_ld) * (e[1:] - e[:-1]) / (2j * math.pi * n)
+        total = total + weight.reshape(column) * s
+    return np.exp(float(eps_ld ** np.longdouble(-gamma)) * np.real(total))
+
+
+def twelve_pairs(d):
+    """A real W with 12 conjugate pairs: random coefficients on distinct
+    modes, an n = 0 mode, a pure-tau mode and the constant among them."""
+    rng = np.random.default_rng(12)
+    keys = {((0,) * d, 0), ((1,) * d, 0), ((0,) * d, 1)}
+    while len(keys) < 12:
+        m = tuple(int(v) for v in rng.integers(-3, 4, d))
+        n = int(rng.integers(-3, 4))
+        if (m, n) > (tuple(-v for v in m), -n):
+            keys.add((m, n))
+    coeffs = []
+    for m, n in sorted(keys):
+        c = complex(*rng.uniform(-0.5, 0.5, 2))
+        if (m, n) == ((0,) * d, 0):
+            coeffs.append(((m, n), c.real))
+        else:
+            coeffs += [((m, n), c),
+                       ((tuple(-v for v in m), -n), c.conjugate())]
+    return TrigField(d, coeffs)
+
+
+def mixed_modes(d):
+    """An n = 0 mode, an n != 0 mode, a pure-tau mode and a constant."""
+    return (TrigField.from_cos(d, (1,) * d, 0)
+            + TrigField.from_sin(d, (2,) * d, -1, 0.5)
+            + TrigField.from_cos(d, (0,) * d, 1, 0.2)
+            + TrigField.constant(d, 0.3))
+
+
+@FACTOR_GRIDS
+@pytest.mark.parametrize("make_w, pairs", [
+    (mixed_modes, 4), (twelve_pairs, 12), (lambda d: TrigField(d, []), 0),
+], ids=["mixed", "twelve-pairs", "zero"])
+def test_pair_factors_match_the_complex_mode_sum(grid, make_w, pairs):
+    W = make_w(grid.d)
+    # k = 3 at eps = 1/8: the times reach 120 periods of the potential.
+    eps, k, gamma = 0.125, 3.0, 1.0
+    reaction = _OscillatedReaction(W, eps, k, gamma, grid)
+    assert reaction.profiles.shape == (2 * pairs, grid.nx ** grid.d)
+    times = np.longdouble(0.2) + np.arange(31) * np.longdouble(1 / 2048)
+    got = reaction._factors(times)
+    want = complex_mode_factors(W, eps, k, gamma, grid, times)
+    assert got.shape == (30,) + grid.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@FACTOR_GRIDS
+def test_factor_rows_do_not_depend_on_the_block(grid):
+    reaction = _OscillatedReaction(twelve_pairs(grid.d), 0.125, 3.0, 1.0,
+                                   grid)
+    times = np.longdouble(0.2) + np.arange(31) * np.longdouble(1 / 2048)
+    block = reaction._factors(times)
+    for i in range(15):
+        assert np.array_equal(reaction._factors(times[2 * i:2 * i + 3]),
+                              block[2 * i:2 * i + 2])
+
+
+@FACTOR_GRIDS
+def test_sine_space_source_matches_the_x_space_route(grid):
+    d = grid.d
+    f = SourceDescriptor((SourceTerm(1.5, (1,) * d, -0.3, 7.0),
+                          SourceTerm(-0.8, (5,) + (2,) * (d - 1), 0.0, 2.0),
+                          SourceTerm(0.4, (17,) * d)))
+    cn = _Diffusion(grid, f, 0)
+    source = f.compile(grid)
+    for a, b in ((0.0, 1e-3), (0.37, 0.371)):
+        got = np.zeros(grid.shape)
+        cn.add_sources(got, a, b)
+        want = cn.solve_weight * _dst(cn.half_dt * (source(a) + source(b)),
+                                      0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_epsilon_solver_enforces_policy():
     eps = 1 / 8
     r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
@@ -445,32 +548,39 @@ def test_known_separation_is_measured():
 
 def per_step_march(p, grid):
     """The eps march one step at a time: each half-step's reaction factor
-    built alone, the sine transforms through scipy.fft.  Returns the
-    snapshots and the running norm maximum, or raises BlowUp."""
+    built alone, as the k-ordered sum of real pair rows times their
+    weights, the sine transforms through scipy.fft and each source term
+    added in sine space.  Returns the snapshots and the running norm
+    maximum, or raises BlowUp."""
     eps_ld = np.longdouble(p.eps)
     eps_k_ld = eps_ld ** np.longdouble(p.regime.k)
     eps_k = float(eps_k_ld)
     scale = float(eps_ld ** np.longdouble(-p.regime.gamma))
     ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
           .astype(float) for x in grid.mesh()]
-    spatial = [(n, c * np.exp(2j * math.pi * sum(
-        (mj * y for mj, y in zip(m, ys) if mj), np.zeros(grid.shape))))
-        for m, n, c in p.W.terms]
+    rows = []
+    for m, n, c in _conjugate_pairs(p.W):
+        s = c * np.exp(2j * math.pi * sum(
+            (mj * y for mj, y in zip(m, ys) if mj), np.zeros(grid.shape)))
+        rows.append((n, scale * s.real, scale * s.imag))
 
     def tau(t):
-        return float(np.remainder(t / eps_k_ld, np.longdouble(1.0)))
+        return np.float64(np.remainder(t / eps_k_ld, np.longdouble(1.0)))
 
     def factor(ta, tb):
-        total = 0.0 + 0.0j
-        for n, s in spatial:
+        total = np.zeros(grid.shape)
+        for n, re, im in rows:
             if n == 0:
-                total = total + float(tb - ta) * s
+                w_re, w_im = np.float64(tb - ta), 0.0
             else:
-                two_pi_in = 2j * math.pi * n
-                weight = eps_k * (np.exp(two_pi_in * tau(tb))
-                                  - np.exp(two_pi_in * tau(ta))) / two_pi_in
-                total = total + weight * s
-        return np.exp(scale * np.real(total))
+                rate = 2.0 * math.pi * n
+                lift = eps_k / rate
+                a, b = tau(ta) * rate, tau(tb) * rate
+                w_re = lift * (np.sin(b) - np.sin(a))
+                w_im = lift * (np.cos(b) - np.cos(a))
+            total = total + w_re * re
+            total = total + w_im * im
+        return np.exp(total)
 
     h, dt = grid.h, grid.dt_effective
     lam1 = -(4.0 / h ** 2) * np.sin(np.arange(1, grid.nx + 1)
@@ -478,7 +588,13 @@ def per_step_march(p, grid):
     lam = lam1 if grid.d == 1 else lam1[:, None] + lam1[None, :]
     z = 0.5 * dt * lam
     gain, solve_weight = (1.0 + z) / (1.0 - z), 1.0 / (1.0 - z)
-    source = p.f.compile(grid)
+    sources = []
+    for term in p.f.terms:
+        profile = 1.0
+        for j, x in zip(term.j, grid.mesh()):
+            profile = profile * np.sin(j * math.pi * x)
+        sources.append((term, solve_weight * (0.5 * dt)
+                        * scipy.fft.dstn(profile, type=1)))
     half = np.longdouble(grid.interval) / grid.steps_per_interval / 2
     u = p.g.build(grid)
     snaps = [u]
@@ -488,9 +604,9 @@ def per_step_march(p, grid):
                                                          2 * i + 2))
         u = u * factor(ta, tm)
         uh = gain * scipy.fft.dstn(u, type=1)
-        if source is not None:
-            f_sum = source(float(ta)) + source(float(tb))
-            uh = uh + solve_weight * scipy.fft.dstn(0.5 * dt * f_sum, type=1)
+        for term, s_hat in sources:
+            uh = uh + (term.amplitude(float(ta))
+                       + term.amplitude(float(tb))) * s_hat
         u = scipy.fft.idstn(uh, type=1) * factor(tm, tb)
         nrm = h ** (grid.d / 2.0) * float(np.linalg.norm(u.ravel()))
         if not math.isfinite(nrm) or nrm > 1e12:
@@ -654,12 +770,12 @@ def test_cost_gate_prices_a_certified_point_by_its_larger_pair():
     # A point keeps only the norms of its coarse pair while the refined
     # pair runs, so the two pairs together may exceed the limit.
     W = frozen_w(2)
-    coarse = GridSpec(2, 1150, 1.0 / 64, 1.0, checkpoints=64)
+    coarse = GridSpec(2, 1200, 1.0 / 64, 1.0, checkpoints=64)
     fine = coarse.refined()
     need = [pair_cost(W, F0, g)[1] for g in (coarse, fine)]
     assert need[1] < MEMORY_LIMIT < sum(need)
     check_cost("sweep", W, F0, [coarse, fine], None)
-    with pytest.raises(BudgetExceeded, match="GiB for nx = 2301 in 2d"):
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 2401 in 2d"):
         check_cost("sweep", W, F0, [coarse, fine] * 2, None, workers=2)
 
 
