@@ -27,7 +27,7 @@ import numpy as np
 from .correctors import effective_potential, identity_report
 from .errors import DegenerateFit
 from .potential import GammaMode, ScalarSeries, TrigField
-from .pdesolve import (GridSpec, InitialDescriptor, ProblemSpec,
+from .pdesolve import (GridSpec, InitialDescriptor, PairNorms, ProblemSpec,
                        SourceDescriptor, check_cost, policy_grid,
                        refinement_residual, solve_pair)
 from .regimes import RegimeSpec, resolve_regime
@@ -191,27 +191,41 @@ def fit_loglog(eps, errors) -> FitResult:
 # ---------------------------------------------------------------------------
 
 def _run_point(cfg: SweepConfig, regime: RegimeSpec, ceff, eps: float,
-               grid: GridSpec) -> SweepPoint:
+               grid: GridSpec) -> PairNorms:
+    """One job of a sweep: the pair solve of one eps on one grid, the
+    policy grid or its refinement."""
     problem = ProblemSpec(W=cfg.W, eps=eps, regime=regime, f=cfg.f, g=cfg.g)
-    norms = solve_pair(problem, ceff, grid)
-    rich = None
-    if cfg.run_richardson:
-        # The coarse pair is the one just solved; only the refined grid
-        # is new.
-        rich = refinement_residual(
-            norms.error, solve_pair(problem, ceff, grid.refined()).error)
-    return SweepPoint(eps=eps, error=norms.error, richardson=rich,
-                      max_l2_eps=norms.max_l2_eps,
-                      max_l2_hom=norms.max_l2_hom,
-                      nx=grid.nx, dt=grid.dt_effective,
-                      steps=grid.total_steps, cells=grid.cell_updates())
+    return solve_pair(problem, ceff, grid)
+
+
+def _run_jobs(run, jobs: list[tuple[float, GridSpec]],
+              workers: int) -> list[PairNorms]:
+    """run(*job) for every job, results in job order.
+
+    Over several workers the jobs go to the pool longest first, by cell
+    updates with ties in job order (LPT), so that the largest pairs do
+    not start last.  A failure is the first failing job in job order, as
+    in the serial loop; once it is known, the jobs still queued are
+    cancelled."""
+    if workers <= 1:
+        return [run(*job) for job in jobs]
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][1].cell_updates())
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {i: pool.submit(run, *jobs[i]) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(jobs))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def run_sweep(cfg: SweepConfig) -> RateReport:
     """Execute the sweep and assemble the rate report.
 
-    Raises BudgetExceeded from pdesolve.check_cost before any solve; regime
-    or admissibility rejections propagate from resolve_regime.
+    Each pair solve is one job: the policy grid of every eps, and with
+    Richardson on its refinement right after it.  Raises BudgetExceeded
+    from pdesolve.check_cost before any solve; regime or admissibility
+    rejections propagate from resolve_regime.
     """
     regime = resolve_regime(cfg.k, cfg.gamma_mode, cfg.W,
                             sign_override=cfg.sign_override)
@@ -222,15 +236,26 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     workers = min(workers, len(cfg.epsilons))
     grids = [policy_grid(eps, regime.k, regime.gamma, cfg.T, cfg.W.d,
                          cfg.checkpoints) for eps in cfg.epsilons]
-    solved = grids + ([g.refined() for g in grids] if cfg.run_richardson
-                      else [])
-    check_cost("sweep", cfg.W, cfg.f, solved, cfg.budget, workers)
-    run = functools.partial(_run_point, cfg, regime, ceff)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(run, cfg.epsilons, grids))
-    else:
-        points = list(map(run, cfg.epsilons, grids))
+    jobs = []
+    for eps, grid in zip(cfg.epsilons, grids):
+        jobs.append((eps, grid))
+        if cfg.run_richardson:
+            jobs.append((eps, grid.refined()))
+    check_cost("sweep", cfg.W, cfg.f, [g for _, g in jobs], cfg.budget,
+               workers)
+    norms = _run_jobs(functools.partial(_run_point, cfg, regime, ceff),
+                      jobs, workers)
+    per_point = len(jobs) // len(grids)
+    points = []
+    for i, (eps, grid) in enumerate(zip(cfg.epsilons, grids)):
+        coarse, *fine = norms[per_point * i:per_point * (i + 1)]
+        rich = (refinement_residual(coarse.error, fine[0].error) if fine
+                else None)
+        points.append(SweepPoint(
+            eps=eps, error=coarse.error, richardson=rich,
+            max_l2_eps=coarse.max_l2_eps, max_l2_hom=coarse.max_l2_hom,
+            nx=grid.nx, dt=grid.dt_effective, steps=grid.total_steps,
+            cells=grid.cell_updates()))
 
     reasons: list[str] = []
     fit = None

@@ -488,6 +488,25 @@ def test_each_failure_writes_one_line_to_stderr(tmp_path, case):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+def test_pooled_sweep_reports_the_first_failing_pair_of_the_ladder(tmp_path):
+    # Every pair of this sweep blows up at its first step.  The pool starts
+    # with the refined pair of the last eps, but the one line must name
+    # the first eps of the ladder, as the serial sweep does.
+    potential = ONE_LINE_FAILURES["blow-up"][1]["potential"]
+    cfg = base_config(potential=potential, sweep=SWEEP_BLOCK,
+                      grid={"checkpoints": 16})
+    lines = []
+    for workers in ("1", "2"):
+        (tmp_path / workers).mkdir()
+        proc = run_cli_subprocess("sweep", cfg, tmp_path / workers,
+                                  timeout=120, flags=("--workers", workers))
+        assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        lines.append(proc.stderr)
+    assert lines[1] == lines[0]
+    assert lines[0].startswith("resource violation: eps=0.25: L2 norm")
+
+
 class TestBadValues:
     @pytest.mark.parametrize("command", ["verify", "correctors"])
     def test_k_just_above_one_is_rejected_quickly(self, tmp_path, command):

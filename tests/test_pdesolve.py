@@ -18,9 +18,9 @@ from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
                              DIFFUSIVE_DT_DIVISOR, DT_DIVISOR, MEMORY_LIMIT,
                              POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
                              _conjugate_pairs, _Diffusion,
-                             _OscillatedReaction, _dst, check_cost,
-                             check_resolution, pair_cost, refinement_residual,
-                             solve_pair)
+                             _OscillatedReaction, _dst, _sine_profile,
+                             check_cost, check_resolution, pair_cost,
+                             refinement_residual, solve_pair)
 
 DIAG = TrigField.from_cos(1, [1], -1)
 G1 = InitialDescriptor((InitialTerm(1.0, (1,)),))
@@ -123,10 +123,25 @@ def test_initial_descriptor_2d():
     np.testing.assert_allclose(u0, want, atol=1e-14)
 
 
+def compile_source(f, grid):
+    """The x-space oracle of a declarative source: t -> the sum of its
+    terms on the grid."""
+    shapes = [_sine_profile(grid, term.j) for term in f.terms]
+
+    def source(t):
+        out = np.zeros(grid.shape)
+        for term, shape in zip(f.terms, shapes):
+            out += term.amplitude(t) * shape
+        return out
+
+    return source
+
+
 def test_source_descriptor_compile():
     g = GridSpec(1, 15, 1e-2, 1.0, checkpoints=10)
-    assert SourceDescriptor.zero().compile(g) is None
-    f = SourceDescriptor((SourceTerm(3.0, (2,), sigma=-1.0, omega=2.0),)).compile(g)
+    assert not compile_source(SourceDescriptor.zero(), g)(0.3).any()
+    f = compile_source(SourceDescriptor(
+        (SourceTerm(3.0, (2,), sigma=-1.0, omega=2.0),)), g)
     x = g.axes()[0]
     t = 0.4
     want = 3.0 * math.exp(-t) * math.cos(2 * t) * np.sin(2 * np.pi * x)
@@ -225,7 +240,7 @@ def physical_space_march(ceff, f, g, grid):
                                     * math.pi * h / 2.0) ** 2
     lam = lam1 if grid.d == 1 else lam1[:, None] + lam1[None, :]
     z = 0.5 * dt * lam
-    source = f.compile(grid)
+    source = compile_source(f, grid)
     u = g.build(grid)
     snaps = [u]
     for i in range(grid.total_steps):
@@ -429,10 +444,10 @@ def test_sine_space_source_matches_the_x_space_route(grid):
                           SourceTerm(-0.8, (5,) + (2,) * (d - 1), 0.0, 2.0),
                           SourceTerm(0.4, (17,) * d)))
     cn = _Diffusion(grid, f, 0)
-    source = f.compile(grid)
+    source = compile_source(f, grid)
     for a, b in ((0.0, 1e-3), (0.37, 0.371)):
         got = np.zeros(grid.shape)
-        cn.add_sources(got, a, b)
+        cn.add_sources(got, cn.amplitude_sums([a, (a + b) / 2, b]), 0)
         want = cn.solve_weight * _dst(cn.half_dt * (source(a) + source(b)),
                                       0)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -666,6 +681,35 @@ def test_blowup_inside_a_block_reports_the_per_step_time():
     per_block = BLOCK_CELLS // grid.nx
     i = round(float(t) / grid.dt_effective) - 1
     assert 0 < i % grid.steps_per_interval % per_block < per_block - 1
+
+
+@pytest.mark.parametrize("march", ["eps", "homogenized"])
+def test_each_amplitude_is_evaluated_once_per_full_step_time(monkeypatch,
+                                                              march):
+    # A block evaluates amp at its steps + 1 full-step times; only a
+    # block boundary is evaluated twice, once by each block.
+    grid = GridSpec(1, 400, 1.0 / (8 * 37 * 16), 1.0 / 16, checkpoints=8)
+    assert spans_blocks(grid)
+    calls = []
+    real = SourceTerm.amplitude
+
+    def counting(term, t):
+        calls.append(term)
+        return real(term, t)
+
+    monkeypatch.setattr(SourceTerm, "amplitude", counting)
+    terms = (SourceTerm(1.5, (1,), -0.3, 7.0), SourceTerm(-0.8, (2,)))
+    f = SourceDescriptor(terms)
+    if march == "eps":
+        p = ProblemSpec(W=DIAG, eps=0.25, regime=resolve_regime(
+            2.0, GammaMode.UNIT, DIAG), f=f, g=G1)
+        solve_epsilon(p, grid, enforce_policy=False)
+    else:
+        solve_homogenized(1.0, f, G1, grid)
+    per_block = BLOCK_CELLS // grid.nx
+    blocks = grid.checkpoints * -(-grid.steps_per_interval // per_block)
+    for term in terms:
+        assert calls.count(term) == grid.total_steps + blocks
 
 
 @pytest.mark.parametrize("shape", [(256,), (513,), (1025,), (64, 64)])

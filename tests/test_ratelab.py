@@ -7,6 +7,7 @@ acceptance suite.
 import dataclasses
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ import pytest
 from oscpot import GammaMode, ScalarSeries, TrigField
 from oscpot.errors import BudgetExceeded, DegenerateFit
 from oscpot.pdesolve import (InitialDescriptor, InitialTerm, SourceDescriptor,
-                             policy_grid)
+                             SourceTerm, policy_grid)
 from oscpot.ratelab import (CSV_HEADER, FitResult, RateReport, SweepConfig,
                             ceff_as_json, default_workers, fit_loglog,
                             points_csv, points_dat, run_sweep, write_outputs)
 
 F_ZERO = SourceDescriptor.zero()
+F_FORCED = SourceDescriptor((SourceTerm(1.0, (1,), omega=2 * math.pi),))
 G_SINE = InitialDescriptor((InitialTerm(1.0, (1,)),))
 
 # Small enough to finish in seconds, large enough to exercise every
@@ -208,9 +210,19 @@ class TestRunSweep:
         assert again.fit.slope == cheap_report.fit.slope
         assert again.uniform_spread == cheap_report.uniform_spread
 
-    def test_worker_fanout_matches_serial(self, cheap_report):
-        fanned = run_sweep(cheap_config(workers=2))
-        assert points_csv(fanned) == points_csv(cheap_report)
+    def test_worker_fanout_matches_serial(self, tmp_path):
+        # Richardson on and a source term: each refined pair runs as its
+        # own job, and its residual in report.json must come out as in
+        # the serial sweep, where it follows its coarse partner.
+        cfg = cheap_config(f=F_FORCED)
+        assert cfg.run_richardson
+        files = []
+        for workers in (1, 2):
+            report = run_sweep(dataclasses.replace(cfg, workers=workers))
+            paths = write_outputs(report, tmp_path / str(workers))
+            files.append([paths[key].read_bytes()
+                          for key in ("report", "csv")])
+        assert files[0] == files[1]
 
     def test_tight_slope_gate_fails_with_reason(self, cheap_report):
         slope = cheap_report.fit.slope
@@ -349,7 +361,9 @@ def test_sweep_point_solves_each_grid_pair_once(monkeypatch):
     monkeypatch.setattr(ratelab, "solve_epsilon", counting, raising=False)
     cfg = cheap_config(workers=1)
     report = run_sweep(cfg)
-    assert len(calls) == 2 * len(cfg.epsilons)
+    # In ladder order, each policy grid followed by its refinement.
+    assert calls == [nx for p in report.points
+                     for nx in (p.nx, 2 * p.nx + 1)]
     # The reused coarse error gives the same certificate as a fresh check.
     from oscpot.pdesolve import (ProblemSpec, refinement_residual,
                                  solve_pair)
@@ -360,3 +374,45 @@ def test_sweep_point_solves_each_grid_pair_once(monkeypatch):
     fresh = [solve_pair(problem, report.ceff, g).error
              for g in (grid, grid.refined())]
     assert p0.richardson == refinement_residual(*fresh)
+
+
+def test_pool_gets_the_pair_jobs_longest_first(monkeypatch):
+    import oscpot.ratelab as ratelab
+    submitted = []
+
+    class InlinePool:
+        """Runs each job as it is submitted and records the order."""
+
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(ratelab, "ProcessPoolExecutor", InlinePool)
+    # At 17 checkpoints eps 1/4 and 0.249 share one policy grid, so their
+    # coarse jobs tie, and so do their refined jobs.
+    cfg = cheap_config(epsilons=(0.25, 0.249, 0.2, 0.125), checkpoints=17,
+                       workers=2)
+    report = run_sweep(cfg)
+    ladder = []
+    for eps in cfg.epsilons:
+        grid = policy_grid(eps, 2.0, 1.0, cfg.T, 1, cfg.checkpoints)
+        ladder += [(eps, grid), (eps, grid.refined())]
+    # Longest first: the refined pair of eps 0.2 comes before the coarse
+    # pairs of 0.2 and larger eps; ties keep ladder order.
+    assert submitted == [ladder[i] for i in (7, 6, 5, 1, 3, 4, 0, 2)]
+    cells = [grid.cell_updates() for _, grid in submitted]
+    assert cells == sorted(cells, reverse=True)
+    assert cells[3] == cells[4] and cells[6] == cells[7]
+    serial = run_sweep(dataclasses.replace(cfg, workers=1))
+    assert points_csv(report) == points_csv(serial)
