@@ -49,9 +49,9 @@ few hundred KiB; a grid with more cells than that (every 2-D policy
 grid) takes one step per block.  The sine transforms call pocketfft's
 DST-I directly, which skips scipy.fft's argument handling on every call.
 
-`solve_pair` keeps the eps-problem's snapshots and takes the homogenized
-checkpoints one at a time, through a callback, so it holds one snapshot
-array, not two.
+`solve_pair` marches the eps-problem and its limit in lockstep and
+measures both live states at each checkpoint, so it holds no snapshot
+array; `solve_epsilon` and `solve_homogenized` keep their snapshots.
 
 Resolution policy for the eps-problem: at least 16 grid points per eps
 (spatial oscillation) and dt no larger than min(eps^k, eps^(gamma+1))/8;
@@ -330,7 +330,7 @@ class Trajectory:
 
     grid: GridSpec
     times: np.ndarray
-    snapshots: np.ndarray | None
+    snapshots: np.ndarray
     max_l2: float
 
 
@@ -503,23 +503,26 @@ def _block_steps(grid: GridSpec) -> int:
                       BLOCK_CELLS // grid.nx ** grid.d))
 
 
-def _march(grid: GridSpec, u0: np.ndarray, block: Callable,
-           label: str, checkpoint: Callable) -> float:
-    """Run the march to T in blocks of steps (see the module docstring)
-    and return the running maximum of the L2 norm.
+def _march(grid: GridSpec, members: Sequence[tuple], checkpoint: Callable
+           ) -> list[float]:
+    """March the members to T in lockstep, in blocks of steps (see the
+    module docstring); return each member's running maximum of the L2 norm.
 
-    block(times) gets the long-double boundary times t_0 < ... < t_2s of
-    a block's half-steps and returns step(u, i), which advances u over
-    step i, from times[2i] through times[2i+1] to times[2i+2].
-    checkpoint(i, u) gets the state at checkpoint time i, u0 first.
-    numpy's overflow and NaN warnings are off: the norm guard raises
-    BlowUp."""
+    A member is (u0, block, label).  block(times) gets the long-double
+    boundary times t_0 < ... < t_2s of a block's half-steps and returns
+    step(u, i), which advances u over step i, from times[2i] through
+    times[2i+1] to times[2i+2].  Every step advances the members in list
+    order.  checkpoint(i, *states) gets the live states at checkpoint
+    time i, the u0s first.  The first member's BlowUp is raised at once, a
+    later member's when the march ends.  numpy's overflow and NaN
+    warnings are off: the norm guard raises BlowUp."""
     half_ld = np.longdouble(grid.interval) / grid.steps_per_interval / 2
     per_block = _block_steps(grid)
     per_interval = grid.steps_per_interval
-    u = u0
-    checkpoint(0, u)
-    max_l2 = _l2(u, grid)
+    states = [u0 for u0, _, _ in members]
+    checkpoint(0, *states)
+    max_l2 = [_l2(u, grid) for u in states]
+    held = None
     with np.errstate(over="ignore", invalid="ignore"):
         for ci in range(grid.checkpoints):
             end = (ci + 1) * per_interval
@@ -527,31 +530,31 @@ def _march(grid: GridSpec, u0: np.ndarray, block: Callable,
                 count = min(per_block, end - first)
                 times = np.arange(2 * first, 2 * (first + count) + 1,
                                   dtype=np.longdouble) * half_ld
-                step = block(times)
+                steps = [block(times) for _, block, _ in members]
                 for i in range(count):
-                    u = step(u, i)
-                    nrm = _l2(u, grid)
-                    if not math.isfinite(nrm) or nrm > BLOWUP_LIMIT:
-                        raise BlowUp(
-                            f"{label}: L2 norm {nrm:.3e} at "
-                            f"t = {float(times[2 * i + 2]):.6g} exceeds "
-                            f"{BLOWUP_LIMIT:.0e}")
-                    max_l2 = max(max_l2, nrm)
-            checkpoint(ci + 1, u)
+                    for j, step in enumerate(steps):
+                        u = states[j] = step(states[j], i)
+                        nrm = _l2(u, grid)
+                        if not math.isfinite(nrm) or nrm > BLOWUP_LIMIT:
+                            error = BlowUp(
+                                f"{members[j][2]}: L2 norm {nrm:.3e} at "
+                                f"t = {float(times[2 * i + 2]):.6g} exceeds "
+                                f"{BLOWUP_LIMIT:.0e}")
+                            if j == 0:
+                                raise error
+                            held = held or error
+                        max_l2[j] = max(max_l2[j], nrm)
+            checkpoint(ci + 1, *states)
+    if held is not None:
+        raise held
     return max_l2
 
 
-def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
-                  enforce_policy: bool = True,
-                  source_fn: Callable[[float], np.ndarray] | None = None
-                  ) -> Trajectory:
-    """March the eps-problem to T on the given grid.
-
-    enforce_policy=False skips the resolution check (for deliberately
-    coarse grids).  source_fn overrides the declarative source with an
-    arbitrary array-valued function of time (used for manufactured
-    solutions).
-    """
+def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
+                    source_fn: Callable[[float], np.ndarray] | None = None
+                    ) -> tuple:
+    """The eps-problem as a member (u0, block, label) of `_march`; its
+    state is u in x."""
     if p.d != grid.d:
         raise ValueError(
             f"potential dimension {p.d} does not match grid dimension {grid.d}")
@@ -583,9 +586,23 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
 
         return step
 
+    return p.g.build(grid), block, f"eps={p.eps:g}"
+
+
+def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
+                  enforce_policy: bool = True,
+                  source_fn: Callable[[float], np.ndarray] | None = None
+                  ) -> Trajectory:
+    """March the eps-problem to T on the given grid.
+
+    enforce_policy=False skips the resolution check (for deliberately
+    coarse grids).  source_fn overrides the declarative source with an
+    arbitrary array-valued function of time (used for manufactured
+    solutions).
+    """
+    member = _epsilon_member(p, grid, enforce_policy, source_fn)
     snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
-    max_l2 = _march(grid, p.g.build(grid), block, f"eps={p.eps:g}",
-                    snaps.__setitem__)
+    [max_l2] = _march(grid, [member], snaps.__setitem__)
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
                       snapshots=snaps, max_l2=max_l2)
 
@@ -599,15 +616,10 @@ def _decay(ceff: TrigField, a: float, b: float) -> float:
         return math.inf
 
 
-def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
-                      g: InitialDescriptor, grid: GridSpec,
-                      checkpoint: Callable | None = None) -> Trajectory:
-    """March the homogenized problem du/dt - Lap u + c_eff u = f on sine
-    coefficients (see the module docstring); snapshot 0 is g itself.
-
-    With `checkpoint`, checkpoint(i, u) gets snapshot i in x, in one row
-    array that the next snapshot overwrites, and the Trajectory keeps no
-    snapshots (None)."""
+def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
+                        g: InitialDescriptor, grid: GridSpec) -> tuple:
+    """The homogenized problem as a member (v0, block, label) of `_march`;
+    its state v is the orthonormal DST-I of u (see the module docstring)."""
     if not isinstance(ceff, TrigField):
         ceff = ScalarSeries.constant(ceff)
     cn = _Diffusion(grid, f, 1)
@@ -617,7 +629,7 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
         sums = cn.amplitude_sums(t)
 
         def step(v, i):
-            # In place, as in solve_epsilon.
+            # In place, as in the eps-problem.
             a, m, b = t[2 * i], t[2 * i + 1], t[2 * i + 2]
             v *= _decay(ceff, a, m)
             v *= cn.gain
@@ -627,17 +639,22 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
 
         return step
 
-    snaps = None
-    if checkpoint is None:
-        snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
-        checkpoint = snaps.__setitem__
-    u0 = g.build(grid)
-    row = np.empty(grid.shape)
+    return _dst(g.build(grid), 1), block, "homogenized"
 
-    def to_x(i, v):
-        checkpoint(i, u0 if i == 0 else _dst(v, 1, row))
 
-    max_l2 = _march(grid, _dst(u0, 1), block, "homogenized", to_x)
+def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
+                      g: InitialDescriptor, grid: GridSpec) -> Trajectory:
+    """March the homogenized problem du/dt - Lap u + c_eff u = f on sine
+    coefficients (see the module docstring); snapshot 0 is g itself."""
+    member = _homogenized_member(ceff, f, g, grid)
+    snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
+    snaps[0] = g.build(grid)
+
+    def keep(i, v):
+        if i:
+            _dst(v, 1, snaps[i])
+
+    [max_l2] = _march(grid, [member], keep)
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
                       snapshots=snaps, max_l2=max_l2)
 
@@ -648,44 +665,47 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
 
 def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
                enforce_policy: bool = True) -> PairNorms:
-    """Solve the eps-problem and its homogenized limit on one grid and
-    measure both, and their distance, at every checkpoint."""
-    # The eps-problem runs first, so its BlowUp is the one reported when
-    # both would blow up.
-    u_eps = solve_epsilon(p, grid, enforce_policy=enforce_policy)
+    """Solve the eps-problem and its homogenized limit on one grid, in one
+    lockstep march, and measure both, and their distance, at every
+    checkpoint."""
     sums = np.empty((grid.checkpoints + 1, 3))
+    row = np.empty(grid.shape)
 
-    def measure(i, b):
-        a = u_eps.snapshots[i]
+    def measure(i, a, v):
+        # At t = 0 both states are g.
+        b = a if i == 0 else _dst(v, 1, row)
         sums[i] = np.sum(a ** 2), np.sum(b ** 2), np.sum((a - b) ** 2)
 
-    u_hom = solve_homogenized(ceff, p.f, p.g, grid, measure)
+    # The eps-problem is the first member, so its BlowUp is the one
+    # reported when both would blow up.
+    members = [_epsilon_member(p, grid, enforce_policy),
+               _homogenized_member(ceff, p.f, p.g, grid)]
+    max_l2_eps, max_l2_hom = _march(grid, members, measure)
     l2_eps, l2_hom, l2_diff = grid.h ** (grid.d / 2.0) * np.sqrt(sums.T)
-    return PairNorms(times=u_eps.times, l2_eps=l2_eps, l2_hom=l2_hom,
-                     l2_diff=l2_diff, max_l2_eps=u_eps.max_l2,
-                     max_l2_hom=u_hom.max_l2)
+    return PairNorms(times=grid.checkpoint_times(), l2_eps=l2_eps,
+                     l2_hom=l2_hom, l2_diff=l2_diff, max_l2_eps=max_l2_eps,
+                     max_l2_hom=max_l2_hom)
 
 
 def pair_cost(W: TrigField, f: SourceDescriptor,
               grid: GridSpec) -> tuple[int, int]:
-    """(cell updates, peak bytes) of solve_pair on `grid`.  The peak is in
-    the eps march: the snapshot array; four arrays of the march (the CN
-    gain and solve weight, the state, and one for a step's temporaries,
-    such as the row the homogenized march hands to the norm sums); two
-    real rows per conjugate pair of W; one sine-space profile per source
-    term; and two blocks of reaction factors, the block before and the
-    block being built, each one double per cell for each of a step's two
-    half-steps.
+    """(cell updates, peak bytes) of solve_pair on `grid`.  The lockstep
+    march keeps no snapshots, so the peak does not depend on the number
+    of checkpoints.  It holds eight arrays (per march the state, the CN
+    gain and the solve weight; the row the homogenized state goes to x
+    through; one for a step's temporaries); two real rows per conjugate
+    pair of W; one sine-space profile per source term in each march; and
+    two blocks of reaction factors, the block before and the block being
+    built, each one double per cell for each of a step's two half-steps.
 
     It prices per-cell arrays only, not Python objects or arrays whose
     size does not grow with the grid, so it is not an upper bound on
     small grids: on a 1-D nx 269 pair (96 checkpoints, one step each, one
-    source term, no potential) tracemalloc reads peaks of 108.9 to 110.3
-    cell arrays against the 106 priced here.  The gap is a few KiB, far
+    source term, no potential) tracemalloc reads peaks of 17.8 to 17.9
+    cell arrays against the 14 priced here.  The gap is a few KiB, far
     below the scale of the MEMORY_LIMIT gate."""
     cells = grid.nx ** grid.d
-    per_cell = ((grid.checkpoints + 5) + 2 * len(_conjugate_pairs(W))
-                + len(f.terms))
+    per_cell = 8 + 2 * len(_conjugate_pairs(W)) + 2 * len(f.terms)
     block = 2 * 2 * _block_steps(grid) * cells
     return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
 

@@ -581,11 +581,10 @@ class TestBadValues:
             capsys.readouterr().err
 
     def test_solve_memory_gate_exits_before_allocating(self, tmp_path):
-        # eps = 0.01 in 2-D: nx 3,239, so the pair's 65-snapshot array
-        # would take 5.5 GB.  The address-space cap turns an
-        # allocation attempt into a quick MemoryError, not a machine
-        # running out of memory.
-        cfg = base_config(epsilon=0.01, potential={"d": 2, "modes": [
+        # eps = 0.005 in 2-D: nx 6,479, so the pair would hold about
+        # 4.4 GiB.  The address-space cap turns an allocation attempt
+        # into a quick MemoryError, not a machine running out of memory.
+        cfg = base_config(epsilon=0.005, potential={"d": 2, "modes": [
             {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0},
             {"m": [-1, 0], "n": 1, "re": 0.5, "im": 0.0}]})
         cfg["problem"]["g"] = [{"amp": 1.0, "j": [1, 1]}]
@@ -593,6 +592,7 @@ class TestBadValues:
                                   preexec_fn=limit_address_space_2gib)
         assert proc.returncode == cli.EXIT_RESOURCE, proc.stderr
         assert proc.stderr.startswith("resource violation: solve needs about")
+        assert "GiB for nx = 6479 in 2d" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_sweep_checkpoints_default_to_sweep_config(self):
@@ -736,8 +736,8 @@ class TestBadValues:
                        str(need)) == cli.EXIT_OK
 
     def test_sweep_memory_gate_exits_before_allocating(self, tmp_path):
-        # A 2-D ladder from eps = 1/64: the first point alone would hold
-        # a (97, 2159, 2159) snapshot array.
+        # A 2-D ladder from eps = 1/64: the refined pair of eps = 1/96
+        # (nx 6,249) alone would hold about 4.1 GiB.
         cfg = base_config(potential={"d": 2, "modes": [
             {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0}]},
             sweep={"epsilons": [1 / 64, 1 / 72, 1 / 80, 1 / 96]})

@@ -737,6 +737,37 @@ def test_overflowing_decay_factor_is_a_homogenized_blowup():
         solve_homogenized(-1e12, F0, G1, grid)
 
 
+def test_pair_raises_the_eps_blowup_when_the_limit_blows_up_first():
+    # c_eff = -1e12 trips the homogenized guard at the first step; the
+    # constant W = 120 trips the eps guard near T.
+    grid = GridSpec(1, 400, 1.0 / (8 * 37 * 16), 1.0 / 16, checkpoints=8)
+    W = TrigField(1, [(((0,), 0), 120.0 + 0.0j)])
+    p = ProblemSpec(W=W, eps=0.25, regime=resolve_regime(2.0, GammaMode.UNIT,
+                                                          DIAG),
+                    f=F0, g=G1)
+    with pytest.raises(BlowUp) as hom:
+        solve_homogenized(-1e12, F0, G1, grid)
+    with pytest.raises(BlowUp) as eps:
+        solve_epsilon(p, grid, enforce_policy=False)
+    times = [float(re.search(r"t = (\S+)", str(e.value)).group(1))
+             for e in (hom, eps)]
+    assert times[0] < times[1]
+    with pytest.raises(BlowUp) as got:
+        solve_pair(p, -1e12, grid, enforce_policy=False)
+    assert str(got.value) == str(eps.value)
+    assert str(got.value).startswith("eps=0.25: L2 norm")
+
+
+def test_pair_raises_the_limit_blowup_alone_as_its_own_solve_does():
+    grid = GridSpec(1, 64, 1 / 1024, 0.125, checkpoints=8)
+    with pytest.raises(BlowUp) as alone:
+        solve_homogenized(-1e12, F0, G1, grid)
+    with pytest.raises(BlowUp) as got:
+        solve_pair(heat_problem(grid), -1e12, grid, enforce_policy=False)
+    assert str(got.value) == str(alone.value)
+    assert str(got.value).startswith("homogenized: L2 norm")
+
+
 def richardson(p, grid, **kw):
     """Refinement residual of the error under one joint refinement."""
     ceff = effective_potential(p.regime, p.W)
@@ -777,34 +808,48 @@ def test_repeat_solve_is_bitwise_identical():
 
 # -- cost model ------------------------------------------------------------
 
-def test_pair_memory_estimate_bounds_the_traced_peak():
-    # The 2-D benchmark solve's grid (eps = 1/8, nx 269, 64 checkpoints)
-    # over a short T: the peak does not depend on the number of steps.
+def frozen_pair_peak(grid):
+    """tracemalloc's peak over solve_pair of the 2-D frozen-time benchmark
+    problem (eps = 1/8) on `grid`."""
     W = frozen_w(2)
     regime = resolve_regime(0.0, GammaMode.UNIT, W)
     p = ProblemSpec(W=W, eps=1 / 8, regime=regime, f=F0,
                     g=InitialDescriptor((InitialTerm(1.0, (1, 1)),)))
-    grid = GridSpec(2, 269, 1.0 / 16384, 1.0 / 256, checkpoints=64)
     ceff = effective_potential(regime, W)
     tracemalloc.start()
     try:
         solve_pair(p, ceff, grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = pair_cost(W, F0, grid)[1]
+
+
+def test_pair_memory_estimate_bounds_the_traced_peak():
+    # The 2-D benchmark solve's grid (eps = 1/8, nx 269, 64 checkpoints)
+    # over a short T: the peak does not depend on the number of steps.
+    grid = GridSpec(2, 269, 1.0 / 16384, 1.0 / 256, checkpoints=64)
+    peak = frozen_pair_peak(grid)
+    estimate = pair_cost(frozen_w(2), F0, grid)[1]
     assert peak <= estimate <= 1.25 * peak
+
+
+def test_pair_memory_does_not_grow_with_the_checkpoints():
+    # One step per checkpoint interval, so 256 checkpoints are 248 more
+    # checkpoint times than 8; the pair holds no snapshot array.
+    peaks = [frozen_pair_peak(GridSpec(2, 128, 1.0 / 8192, c / 8192,
+                                       checkpoints=c)) for c in (8, 256)]
+    assert abs(peaks[1] - peaks[0]) < 2 * 8 * 128 ** 2
 
 
 def test_cost_gate_counts_updates_and_memory_per_worker():
     # Grids whose pair needs between 2 and 4 GiB; no grid allocates.
     W = frozen_w(2)
-    big = GridSpec(2, 1700, 1.0 / 64, 1.5, checkpoints=96)
+    big = GridSpec(2, 4500, 1.0 / 64, 1.5, checkpoints=96)
     assert 2 * 2 ** 30 < pair_cost(W, F0, big)[1] < MEMORY_LIMIT
     grids = [big, big]
     total = 2 * 2 * big.cell_updates()
     check_cost("sweep", W, F0, grids, total, workers=1)
-    with pytest.raises(BudgetExceeded, match="GiB for nx = 1700 in 2d"):
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 4500 in 2d"):
         check_cost("sweep", W, F0, grids, total, workers=2)
     with pytest.raises(BudgetExceeded, match="cell updates, budget is"):
         check_cost("sweep", W, F0, grids, total - 1)
@@ -814,12 +859,12 @@ def test_cost_gate_prices_a_certified_point_by_its_larger_pair():
     # A point keeps only the norms of its coarse pair while the refined
     # pair runs, so the two pairs together may exceed the limit.
     W = frozen_w(2)
-    coarse = GridSpec(2, 1200, 1.0 / 64, 1.0, checkpoints=64)
+    coarse = GridSpec(2, 2600, 1.0 / 64, 1.0, checkpoints=64)
     fine = coarse.refined()
     need = [pair_cost(W, F0, g)[1] for g in (coarse, fine)]
     assert need[1] < MEMORY_LIMIT < sum(need)
     check_cost("sweep", W, F0, [coarse, fine], None)
-    with pytest.raises(BudgetExceeded, match="GiB for nx = 2401 in 2d"):
+    with pytest.raises(BudgetExceeded, match="GiB for nx = 5201 in 2d"):
         check_cost("sweep", W, F0, [coarse, fine] * 2, None, workers=2)
 
 

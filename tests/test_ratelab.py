@@ -348,17 +348,15 @@ class TestOutputs:
 def test_sweep_point_solves_each_grid_pair_once(monkeypatch):
     # A point solves its policy pair and, for the certificate, the refined
     # pair; it must not solve the policy pair a second time.
-    import oscpot.pdesolve as pdesolve
     import oscpot.ratelab as ratelab
     calls = []
-    real = pdesolve.solve_epsilon
+    real = ratelab.solve_pair
 
-    def counting(p, grid, **kw):
+    def counting(p, ceff, grid, **kw):
         calls.append(grid.nx)
-        return real(p, grid, **kw)
+        return real(p, ceff, grid, **kw)
 
-    monkeypatch.setattr(pdesolve, "solve_epsilon", counting)
-    monkeypatch.setattr(ratelab, "solve_epsilon", counting, raising=False)
+    monkeypatch.setattr(ratelab, "solve_pair", counting)
     cfg = cheap_config(workers=1)
     report = run_sweep(cfg)
     # In ladder order, each policy grid followed by its refinement.
