@@ -17,12 +17,18 @@ CN solve is done exactly by diagonalizing that operator with the type-I
 sine transform, whose basis is the eigenbasis of the Dirichlet
 second-difference matrix.
 
-The homogenized problem runs the same scheme on orthonormal DST-I
-coefficients: c_eff does not depend on x, so its reaction factor is a
-scalar and the CN step a per-coefficient gain.  The transform keeps the
-discrete L2 norm, so the blow-up guard reads the same as in x.
+The homogenized problem runs the same scheme on its own sine modes.
+c_eff does not depend on x, and each sin(j pi x) term of g and f is, on
+the grid, plus or minus one DST-I basis vector or zero (`_fold`): an
+eigenvector of the second-difference matrix.  So u_0 stays in the span
+of the distinct modes of g and f, and the state is its orthonormal
+DST-I coefficient on each of them: the reaction factor is a scalar, the
+CN step a gain per mode, and a source term adds to its own mode.  The
+coefficients keep the discrete L2 norm, so the blow-up guard reads the
+same as in x.  The state goes to x only at a checkpoint, through one
+(modes x cells) contraction with the orthonormal sine rows.
 
-Both marches add the declarative source in sine space: each term's
+The eps march adds the declarative source in sine space: each term's
 profile enters the CN step as s_hat = solve_weight * dt/2 *
 DST(profile), computed once (`_Diffusion`), so an eps step takes two
 transforms.  A block evaluates each term's amplitude once per full-step
@@ -275,6 +281,16 @@ class SourceDescriptor:
     def zero() -> "SourceDescriptor":
         return SourceDescriptor(())
 
+    def amplitude_sums(self, t: list[float]) -> list[list[float]]:
+        """Per term, amp(t[2i]) + amp(t[2i+2]) for each step i of a block
+        with half-step times t.  Each amplitude is evaluated once per
+        full-step time: a step's amp(t_b) is the next step's amp(t_a)."""
+        sums = []
+        for term in self.terms:
+            amp = [term.amplitude(x) for x in t[::2]]
+            sums.append([a + b for a, b in zip(amp, amp[1:])])
+        return sums
+
 
 @dataclass(frozen=True)
 class InitialTerm:
@@ -295,13 +311,34 @@ class InitialDescriptor:
         return out
 
 
-def _sine_profile(grid: GridSpec, j: Sequence[int]) -> np.ndarray:
+def _fold(grid: GridSpec, j: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(r, sign): at the grid nodes prod_i sin(j_i pi x_i) is sign times
+    prod_i sin(r_i pi x_i), with 1 <= r_i <= nx, or zero when sign is 0.
+
+    Per axis, sin(j pi x) on the grid is sin(r pi x) with r = j mod
+    2(nx+1).  It is -sin((2(nx+1) - r) pi x) when r > nx+1, and zero when
+    r is 0 or nx+1.  The reduction is exact integer arithmetic, so a large
+    j keeps its grid profile."""
     if len(j) != grid.d:
         raise ValueError(
             f"mode index {tuple(j)} has dimension {len(j)}, grid is {grid.d}d")
-    out = 1.0
-    for ji, x in zip(j, grid.mesh()):
-        out = out * np.sin(ji * math.pi * x)
+    period, r, sign = 2 * (grid.nx + 1), [], 1
+    for ji in j:
+        ri = ji % period
+        if ri > grid.nx + 1:
+            ri, sign = period - ri, -sign
+        elif ri in (0, grid.nx + 1):
+            sign = 0
+        r.append(ri)
+    return tuple(r), sign
+
+
+def _sine_profile(grid: GridSpec, j: Sequence[int]) -> np.ndarray:
+    """prod_i sin(j_i pi x_i) on the grid, evaluated at the folded index."""
+    r, sign = _fold(grid, j)
+    out = float(sign)
+    for ri, x in zip(r, grid.mesh()):
+        out = out * np.sin(ri * math.pi * x)
     return out
 
 
@@ -368,40 +405,37 @@ def _l2(u: np.ndarray, grid: GridSpec) -> float:
 def _dst(u: np.ndarray, inorm: int, out: np.ndarray | None = None
          ) -> np.ndarray:
     """DST-I over every axis of u, as scipy.fft.dstn(type=1) computes it:
-    inorm 0 is the forward transform, 2 its inverse (idstn) and 1 the
-    orthonormal one, which is its own inverse and keeps the L2 norm.
-    out may be u itself."""
+    inorm 0 is the forward transform and 2 its inverse (idstn), the two
+    the eps march takes; 1 is the orthonormal one, its own inverse.  out
+    may be u itself."""
     return _pocketfft_dst(u, 1, tuple(range(u.ndim)), inorm, out, 1)
 
 
+def _cn_weights(grid: GridSpec, modes) -> tuple[np.ndarray, np.ndarray]:
+    """The CN gain and solve weight on the sine modes r = `modes`, one
+    index array per axis (broadcast together), from the eigenvalue
+    sum_i -(4/h^2) sin(r_i pi h/2)^2 of the second-difference matrix."""
+    h = grid.h
+    lam = sum(-(4.0 / h ** 2) * np.sin(r * math.pi * h / 2.0) ** 2
+              for r in modes)
+    z = 0.5 * grid.dt_effective * lam
+    return (1.0 + z) / (1.0 - z), 1.0 / (1.0 - z)
+
+
 class _Diffusion:
-    """The CN step in sine space: the gain per coefficient, the solve
-    weight, and s_hat = solve_weight * dt/2 * DST(profile) per source
-    term.  `inorm` picks the DST: 0 for the eps march, whose state is in
-    x, 1 for the homogenized march on orthonormal coefficients."""
+    """The eps march's CN step in sine space: the gain per coefficient,
+    the solve weight, and s_hat = solve_weight * dt/2 * DST(profile) per
+    source term."""
 
-    def __init__(self, grid: GridSpec, f: SourceDescriptor, inorm: int):
-        nx, h, dt = grid.nx, grid.h, grid.dt_effective
-        j = np.arange(1, nx + 1)
-        lam1 = -(4.0 / h ** 2) * np.sin(j * math.pi * h / 2.0) ** 2
-        lam = lam1 if grid.d == 1 else lam1[:, None] + lam1[None, :]
-        z = 0.5 * dt * lam
-        self.gain = (1.0 + z) / (1.0 - z)
-        self.solve_weight = 1.0 / (1.0 - z)
-        self.half_dt = 0.5 * dt
+    def __init__(self, grid: GridSpec, f: SourceDescriptor):
+        axis = np.arange(1, grid.nx + 1)
+        self.gain, self.solve_weight = _cn_weights(grid,
+                                                   np.ix_(*[axis] * grid.d))
+        self.half_dt = 0.5 * grid.dt_effective
         self.sources = [(term, self.solve_weight * self.half_dt
-                         * _dst(_sine_profile(grid, term.j), inorm))
+                         * _dst(_sine_profile(grid, term.j), 0))
                         for term in f.terms]
-
-    def amplitude_sums(self, t: list[float]) -> list[list[float]]:
-        """Per source term, amp(t[2i]) + amp(t[2i+2]) for each step i of
-        a block with half-step times t.  Each amplitude is evaluated once
-        per full-step time: a step's amp(t_b) is the next step's amp(t_a)."""
-        sums = []
-        for term, _ in self.sources:
-            amp = [term.amplitude(x) for x in t[::2]]
-            sums.append([a + b for a, b in zip(amp, amp[1:])])
-        return sums
+        self.amplitude_sums = f.amplitude_sums
 
     def add_sources(self, uh: np.ndarray, sums: list[list[float]],
                     i: int) -> None:
@@ -563,7 +597,7 @@ def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
     reaction = _OscillatedReaction(p.W, p.eps, p.regime.k, p.regime.gamma, grid)
     # source_fn replaces the declarative source and is added in x.
     f = p.f if source_fn is None else SourceDescriptor()
-    cn = _Diffusion(grid, f, 0)
+    cn = _Diffusion(grid, f)
 
     def block(times):
         factors = reaction._factors(times)
@@ -617,42 +651,70 @@ def _decay(ceff: TrigField, a: float, b: float) -> float:
 
 
 def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
-                        g: InitialDescriptor, grid: GridSpec) -> tuple:
-    """The homogenized problem as a member (v0, block, label) of `_march`;
-    its state v is the orthonormal DST-I of u (see the module docstring)."""
+                        g: InitialDescriptor, grid: GridSpec
+                        ) -> tuple[tuple, Callable]:
+    """The homogenized problem as a member (v0, block, label) of `_march`,
+    and the map of its state to u in x (see the module docstring).  v has
+    one entry per distinct nonzero mode the terms of g and f fold onto
+    (`_fold`); at the nodes, sin(r pi x) is unit = ((nx+1)/2)^(d/2) times
+    the orthonormal basis vector of mode r."""
     if not isinstance(ceff, TrigField):
         ceff = ScalarSeries.constant(ceff)
-    cn = _Diffusion(grid, f, 1)
+    g_folds = [_fold(grid, term.j) for term in g.terms]
+    f_folds = [_fold(grid, term.j) for term in f.terms]
+    modes = list(dict.fromkeys(r for r, sign in g_folds + f_folds if sign))
+    unit = ((grid.nx + 1) / 2.0) ** (grid.d / 2.0)
+    gain, weight = _cn_weights(grid, np.reshape(modes, (-1, grid.d)).T)
+    v0 = np.zeros(len(modes))
+    for term, (r, sign) in zip(g.terms, g_folds):
+        if sign:
+            v0[modes.index(r)] += sign * unit * term.amp
+    # Per source term on a nonzero profile: its place in f, its mode k,
+    # and its s_hat there, solve_weight * dt/2 * sign * unit.
+    sources = []
+    for n, (r, sign) in enumerate(f_folds):
+        if sign:
+            k = modes.index(r)
+            sources.append((n, k, sign * unit * weight[k] * 0.5
+                            * grid.dt_effective))
+    rows = np.empty((len(modes), grid.nx ** grid.d))
+    for row, r in zip(rows, modes):
+        row[:] = _sine_profile(grid, r).ravel() / unit
 
     def block(times):
         t = times.astype(float).tolist()
-        sums = cn.amplitude_sums(t)
+        sums = f.amplitude_sums(t)
 
         def step(v, i):
-            # In place, as in the eps-problem.
+            # In place, as in the eps-problem; a source term adds to one
+            # entry, so the step builds no array.
             a, m, b = t[2 * i], t[2 * i + 1], t[2 * i + 2]
             v *= _decay(ceff, a, m)
-            v *= cn.gain
-            cn.add_sources(v, sums, i)
+            v *= gain
+            for n, k, s_hat in sources:
+                v[k] += sums[n][i] * s_hat
             v *= _decay(ceff, m, b)
             return v
 
         return step
 
-    return _dst(g.build(grid), 1), block, "homogenized"
+    def to_x(v):
+        return (v @ rows).reshape(grid.shape)
+
+    return (v0, block, "homogenized"), to_x
 
 
 def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
                       g: InitialDescriptor, grid: GridSpec) -> Trajectory:
-    """March the homogenized problem du/dt - Lap u + c_eff u = f on sine
-    coefficients (see the module docstring); snapshot 0 is g itself."""
-    member = _homogenized_member(ceff, f, g, grid)
+    """March the homogenized problem du/dt - Lap u + c_eff u = f on its
+    sine modes (see the module docstring); snapshot 0 is g itself."""
+    member, to_x = _homogenized_member(ceff, f, g, grid)
     snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
     snaps[0] = g.build(grid)
 
     def keep(i, v):
         if i:
-            _dst(v, 1, snaps[i])
+            snaps[i] = to_x(v)
 
     [max_l2] = _march(grid, [member], keep)
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
@@ -669,18 +731,17 @@ def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
     lockstep march, and measure both, and their distance, at every
     checkpoint."""
     sums = np.empty((grid.checkpoints + 1, 3))
-    row = np.empty(grid.shape)
+    # The eps-problem is the first member, so its BlowUp is the one
+    # reported when both would blow up.
+    eps_member = _epsilon_member(p, grid, enforce_policy)
+    limit, to_x = _homogenized_member(ceff, p.f, p.g, grid)
 
     def measure(i, a, v):
         # At t = 0 both states are g.
-        b = a if i == 0 else _dst(v, 1, row)
+        b = a if i == 0 else to_x(v)
         sums[i] = np.sum(a ** 2), np.sum(b ** 2), np.sum((a - b) ** 2)
 
-    # The eps-problem is the first member, so its BlowUp is the one
-    # reported when both would blow up.
-    members = [_epsilon_member(p, grid, enforce_policy),
-               _homogenized_member(ceff, p.f, p.g, grid)]
-    max_l2_eps, max_l2_hom = _march(grid, members, measure)
+    max_l2_eps, max_l2_hom = _march(grid, [eps_member, limit], measure)
     l2_eps, l2_hom, l2_diff = grid.h ** (grid.d / 2.0) * np.sqrt(sums.T)
     return PairNorms(times=grid.checkpoint_times(), l2_eps=l2_eps,
                      l2_hom=l2_hom, l2_diff=l2_diff, max_l2_eps=max_l2_eps,
@@ -691,21 +752,25 @@ def pair_cost(W: TrigField, f: SourceDescriptor,
               grid: GridSpec) -> tuple[int, int]:
     """(cell updates, peak bytes) of solve_pair on `grid`.  The lockstep
     march keeps no snapshots, so the peak does not depend on the number
-    of checkpoints.  It holds eight arrays (per march the state, the CN
-    gain and the solve weight; the row the homogenized state goes to x
-    through; one for a step's temporaries); two real rows per conjugate
-    pair of W; one sine-space profile per source term in each march; and
-    two blocks of reaction factors, the block before and the block being
-    built, each one double per cell for each of a step's two half-steps.
+    of checkpoints.  It holds five arrays (the eps march's state, CN gain
+    and solve weight; two for the temporaries of a step or a checkpoint,
+    where the limit's u in x and u_eps - u_hom are both live); two real
+    rows per conjugate pair of W; per source term its sine-space
+    profile in the eps march and a mode row of the limit, and one mode
+    row for g; and two blocks of reaction factors, the block before and
+    the block being built, each one double per cell for each of a step's
+    two half-steps.  The limit holds one row per distinct mode of g and f
+    (`_homogenized_member`), so a g on several modes that f does not list
+    holds more rows than priced here.
 
     It prices per-cell arrays only, not Python objects or arrays whose
     size does not grow with the grid, so it is not an upper bound on
     small grids: on a 1-D nx 269 pair (96 checkpoints, one step each, one
-    source term, no potential) tracemalloc reads peaks of 17.8 to 17.9
-    cell arrays against the 14 priced here.  The gap is a few KiB, far
+    source term, no potential) tracemalloc reads a peak of 14.0 cell
+    arrays against the 12 priced here.  The gap is a few KiB, far
     below the scale of the MEMORY_LIMIT gate."""
     cells = grid.nx ** grid.d
-    per_cell = 8 + 2 * len(_conjugate_pairs(W)) + 2 * len(f.terms)
+    per_cell = 6 + 2 * len(_conjugate_pairs(W)) + 2 * len(f.terms)
     block = 2 * 2 * _block_steps(grid) * cells
     return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
 

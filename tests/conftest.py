@@ -1,8 +1,15 @@
 """Shared helpers: random admissible potentials per regime family."""
 
+import os
+
 import numpy as np
 
 from oscpot import GammaMode, TrigField
+
+# Sweeps that leave their workers to OSCPOT_WORKERS run on up to two of
+# the host's cores.  Fan-out gives the same bytes as a serial sweep
+# (test_worker_fanout_matches_serial), so only the wall time changes.
+os.environ.setdefault("OSCPOT_WORKERS", str(min(2, os.cpu_count() or 1)))
 
 #: (k, gamma_mode) representative of each regime family, keyed by the
 #: family value string.

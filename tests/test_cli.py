@@ -581,12 +581,15 @@ class TestBadValues:
             capsys.readouterr().err
 
     def test_solve_memory_gate_exits_before_allocating(self, tmp_path):
-        # eps = 0.005 in 2-D: nx 6,479, so the pair would hold about
-        # 4.4 GiB.  The address-space cap turns an allocation attempt
-        # into a quick MemoryError, not a machine running out of memory.
+        # eps = 0.005 in 2-D with two conjugate pairs in W: nx 6,479, so
+        # the pair would hold about 4.4 GiB.  The address-space cap turns
+        # an allocation attempt into a quick MemoryError, not a machine
+        # running out of memory.
         cfg = base_config(epsilon=0.005, potential={"d": 2, "modes": [
             {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0},
-            {"m": [-1, 0], "n": 1, "re": 0.5, "im": 0.0}]})
+            {"m": [-1, 0], "n": 1, "re": 0.5, "im": 0.0},
+            {"m": [0, 1], "n": -1, "re": 0.5, "im": 0.0},
+            {"m": [0, -1], "n": 1, "re": 0.5, "im": 0.0}]})
         cfg["problem"]["g"] = [{"amp": 1.0, "j": [1, 1]}]
         proc = run_cli_subprocess("solve", cfg, tmp_path, timeout=60,
                                   preexec_fn=limit_address_space_2gib)

@@ -148,6 +148,28 @@ def test_source_descriptor_compile():
     np.testing.assert_allclose(f(t), want, atol=1e-14)
 
 
+def test_folded_profile_is_the_direct_sine():
+    # sin(j pi x) at the nodes has period 2(nx+1) = 34 in j; j = 17 and
+    # j = 34 vanish there exactly.
+    g = GridSpec(1, 16, 1e-2, 1.0, checkpoints=10)
+    x = g.axes()[0]
+    for j in range(4 * 17 + 3):
+        got = _sine_profile(g, (j,))
+        np.testing.assert_allclose(got, np.sin(j * np.pi * x), rtol=0,
+                                   atol=1e-13)
+        if j % 17 == 0:
+            assert not got.any()
+
+
+def test_a_large_mode_index_keeps_its_grid_profile():
+    # In floating point sin(j pi x) loses the grid profile long before
+    # j = 1 + 34 * 10^15; the exact fold keeps it.
+    g = GridSpec(1, 16, 1e-2, 1.0, checkpoints=10)
+    j = 1 + 2 * (g.nx + 1) * 10 ** 15
+    np.testing.assert_allclose(_sine_profile(g, (j,)), _sine_profile(g, (1,)),
+                               rtol=0, atol=1e-15)
+
+
 def test_descriptor_dimension_mismatch():
     g = GridSpec(1, 15, 1e-2, 1.0, checkpoints=10)
     with pytest.raises(ValueError, match="dimension"):
@@ -268,7 +290,17 @@ def frozen_w(d):
      [(1.0, (1,)), (0.3, (21,))], [(1.5, (2,)), (-0.8, (19,))]),
     (GridSpec(2, 12, 1.0 / 128, 0.125, checkpoints=8),
      [(1.0, (1, 1)), (0.3, (2, 17))], [(1.5, (1, 2)), (-0.8, (15, 3))]),
-], ids=["1d", "2d"])
+    # nx = 16, 2(nx+1) = 34: sin(17 pi x) is zero on the grid, sin(37 pi x)
+    # is sin(3 pi x) and sin(31 pi x) is -sin(3 pi x), in g and in f
+    (GridSpec(1, 16, 1.0 / 256, 0.25, checkpoints=8),
+     [(1.0, (1,)), (0.5, (17,)), (0.3, (3,)), (0.2, (31,))],
+     [(1.5, (37,)), (-0.8, (31,)), (0.6, (17,))]),
+    # nx = 12, 2(nx+1) = 26: (25, 2) is -(1, 2), (2, 29) is (2, 3), and
+    # (13, 1) and (1, 26) are zero on the grid
+    (GridSpec(2, 12, 1.0 / 128, 0.125, checkpoints=8),
+     [(1.0, (1, 2)), (0.4, (25, 2)), (0.5, (13, 1))],
+     [(1.5, (2, 29)), (-0.8, (2, 3)), (0.7, (1, 26))]),
+], ids=["1d", "2d", "1d-aliases", "2d-aliases"])
 def test_coefficient_march_matches_physical_space_march(grid, g_modes,
                                                         f_modes):
     W = frozen_w(grid.d)
@@ -291,6 +323,22 @@ def test_pair_starts_from_identical_snapshots():
     norms = solve_pair(p, effective_potential(r, DIAG), grid)
     assert norms.l2_diff[0] == 0.0
     assert norms.l2_eps[0] == norms.l2_hom[0]
+
+
+@pytest.mark.parametrize("g_modes, f_modes", [
+    ([], []), ([(1.0, (17,)), (0.5, (34,))], [(2.0, (51,))]),
+], ids=["empty", "zero-profiles"])
+def test_a_limit_without_modes_reads_zero(g_modes, f_modes):
+    # nx = 16: j = 17, 34 and 51 have zero profiles on the grid.
+    grid = GridSpec(1, 16, 1e-2, 0.1, checkpoints=10)
+    r = resolve_regime(2.0, GammaMode.UNIT, DIAG)
+    g = InitialDescriptor(tuple(InitialTerm(a, j) for a, j in g_modes))
+    f = SourceDescriptor(tuple(SourceTerm(a, j) for a, j in f_modes))
+    p = ProblemSpec(W=DIAG, eps=0.25, regime=r, f=f, g=g)
+    norms = solve_pair(p, -3.0, grid, enforce_policy=False)
+    assert not norms.l2_hom.any() and norms.max_l2_hom == 0.0
+    assert np.array_equal(norms.l2_diff, norms.l2_eps)
+    assert not solve_homogenized(-3.0, f, g, grid).snapshots.any()
 
 
 # -- exact oscillated reaction --------------------------------------------
@@ -443,7 +491,7 @@ def test_sine_space_source_matches_the_x_space_route(grid):
     f = SourceDescriptor((SourceTerm(1.5, (1,) * d, -0.3, 7.0),
                           SourceTerm(-0.8, (5,) + (2,) * (d - 1), 0.0, 2.0),
                           SourceTerm(0.4, (17,) * d)))
-    cn = _Diffusion(grid, f, 0)
+    cn = _Diffusion(grid, f)
     source = compile_source(f, grid)
     for a, b in ((0.0, 1e-3), (0.37, 0.371)):
         got = np.zeros(grid.shape)
