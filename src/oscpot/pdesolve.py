@@ -25,8 +25,9 @@ of the distinct modes of g and f, and the state is its orthonormal
 DST-I coefficient on each of them: the reaction factor is a scalar, the
 CN step a gain per mode, and a source term adds to its own mode.  The
 coefficients keep the discrete L2 norm, so the blow-up guard reads the
-same as in x.  The state goes to x only at a checkpoint, through one
-(modes x cells) contraction with the orthonormal sine rows.
+same as in x.  The state goes to x only at a checkpoint: in 2-D through
+the product of the modes' orthonormal sine factors per axis, in 1-D one
+mode at a time, so the limit holds no cell array per mode.
 
 The eps march adds the declarative source in sine space: each term's
 profile enters the CN step as s_hat = solve_weight * dt/2 *
@@ -435,7 +436,6 @@ class _Diffusion:
         self.sources = [(term, self.solve_weight * self.half_dt
                          * _dst(_sine_profile(grid, term.j), 0))
                         for term in f.terms]
-        self.amplitude_sums = f.amplitude_sums
 
     def add_sources(self, uh: np.ndarray, sums: list[list[float]],
                     i: int) -> None:
@@ -602,7 +602,7 @@ def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
     def block(times):
         factors = reaction._factors(times)
         t = times.astype(float).tolist()
-        sums = cn.amplitude_sums(t)
+        sums = f.amplitude_sums(t)
 
         def step(u, i):
             # In place: u is the march's own state, and the transforms
@@ -664,7 +664,8 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
     f_folds = [_fold(grid, term.j) for term in f.terms]
     modes = list(dict.fromkeys(r for r, sign in g_folds + f_folds if sign))
     unit = ((grid.nx + 1) / 2.0) ** (grid.d / 2.0)
-    gain, weight = _cn_weights(grid, np.reshape(modes, (-1, grid.d)).T)
+    axes = np.reshape(modes, (-1, grid.d)).T
+    gain, weight = _cn_weights(grid, axes)
     v0 = np.zeros(len(modes))
     for term, (r, sign) in zip(g.terms, g_folds):
         if sign:
@@ -677,9 +678,6 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
             k = modes.index(r)
             sources.append((n, k, sign * unit * weight[k] * 0.5
                             * grid.dt_effective))
-    rows = np.empty((len(modes), grid.nx ** grid.d))
-    for row, r in zip(rows, modes):
-        row[:] = _sine_profile(grid, r).ravel() / unit
 
     def block(times):
         t = times.astype(float).tolist()
@@ -698,8 +696,21 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
 
         return step
 
+    # In 2-D, u in x is the (nx x modes) by (modes x nx) product of the
+    # modes' orthonormal sine factors per axis, 2 nx numbers per mode.
+    # In 1-D a mode's factor is a cell array, so u is summed one mode at
+    # a time.  Either way the limit holds no cell array per mode.
+    x = grid.axes()[0]
+    sines = [np.sin(np.multiply.outer(r * math.pi, x)) / math.sqrt(unit)
+             for r in axes] if grid.d == 2 else None
+
     def to_x(v):
-        return (v @ rows).reshape(grid.shape)
+        if grid.d == 2:
+            return (sines[0].T * v) @ sines[1]
+        u = np.zeros(grid.nx)
+        for c, (r,) in zip(v, modes):
+            u += c / unit * np.sin(r * math.pi * x)
+        return u
 
     return (v0, block, "homogenized"), to_x
 
@@ -755,22 +766,22 @@ def pair_cost(W: TrigField, f: SourceDescriptor,
     of checkpoints.  It holds five arrays (the eps march's state, CN gain
     and solve weight; two for the temporaries of a step or a checkpoint,
     where the limit's u in x and u_eps - u_hom are both live); two real
-    rows per conjugate pair of W; per source term its sine-space
-    profile in the eps march and a mode row of the limit, and one mode
-    row for g; and two blocks of reaction factors, the block before and
-    the block being built, each one double per cell for each of a step's
-    two half-steps.  The limit holds one row per distinct mode of g and f
-    (`_homogenized_member`), so a g on several modes that f does not list
-    holds more rows than priced here.
+    rows per conjugate pair of W; one sine-space profile per source term
+    in the eps march; and two blocks of reaction factors, the block
+    before and the block being built, each one double per cell for each
+    of a step's two half-steps.  The limit holds one number per mode,
+    and in 2-D the modes' sine factors, 2 nx numbers per mode, with nx
+    more while it goes to x (`_homogenized_member`): g adds less than a
+    cell array unless it has nx/3 or more distinct modes.
 
     It prices per-cell arrays only, not Python objects or arrays whose
     size does not grow with the grid, so it is not an upper bound on
     small grids: on a 1-D nx 269 pair (96 checkpoints, one step each, one
     source term, no potential) tracemalloc reads a peak of 14.0 cell
-    arrays against the 12 priced here.  The gap is a few KiB, far
+    arrays against the 10 priced here.  The gap is a few KiB, far
     below the scale of the MEMORY_LIMIT gate."""
     cells = grid.nx ** grid.d
-    per_cell = 6 + 2 * len(_conjugate_pairs(W)) + 2 * len(f.terms)
+    per_cell = 5 + 2 * len(_conjugate_pairs(W)) + len(f.terms)
     block = 2 * 2 * _block_steps(grid) * cells
     return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
 

@@ -582,7 +582,7 @@ class TestBadValues:
 
     def test_solve_memory_gate_exits_before_allocating(self, tmp_path):
         # eps = 0.005 in 2-D with two conjugate pairs in W: nx 6,479, so
-        # the pair would hold about 4.4 GiB.  The address-space cap turns
+        # the pair would hold about 4.1 GiB.  The address-space cap turns
         # an allocation attempt into a quick MemoryError, not a machine
         # running out of memory.
         cfg = base_config(epsilon=0.005, potential={"d": 2, "modes": [
@@ -739,10 +739,12 @@ class TestBadValues:
                        str(need)) == cli.EXIT_OK
 
     def test_sweep_memory_gate_exits_before_allocating(self, tmp_path):
-        # A 2-D ladder from eps = 1/64: the refined pair of eps = 1/96
-        # (nx 6,249) alone would hold about 4.1 GiB.
+        # A 2-D ladder from eps = 1/64, with three modes in W: the refined
+        # pair of eps = 1/96 (nx 6,249) alone would hold about 4.4 GiB.
         cfg = base_config(potential={"d": 2, "modes": [
-            {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0}]},
+            {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0},
+            {"m": [0, 1], "n": -1, "re": 0.5, "im": 0.0},
+            {"m": [1, 1], "n": -1, "re": 0.5, "im": 0.0}]},
             sweep={"epsilons": [1 / 64, 1 / 72, 1 / 80, 1 / 96]})
         cfg["problem"] = {"T": 1 / 64, "g": [{"amp": 1.0, "j": [1, 1]}]}
         proc = run_cli_subprocess("sweep", cfg, tmp_path, timeout=60,

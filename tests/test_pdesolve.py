@@ -495,7 +495,7 @@ def test_sine_space_source_matches_the_x_space_route(grid):
     source = compile_source(f, grid)
     for a, b in ((0.0, 1e-3), (0.37, 0.371)):
         got = np.zeros(grid.shape)
-        cn.add_sources(got, cn.amplitude_sums([a, (a + b) / 2, b]), 0)
+        cn.add_sources(got, f.amplitude_sums([a, (a + b) / 2, b]), 0)
         want = cn.solve_weight * _dst(cn.half_dt * (source(a) + source(b)),
                                       0)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -856,13 +856,12 @@ def test_repeat_solve_is_bitwise_identical():
 
 # -- cost model ------------------------------------------------------------
 
-def frozen_pair_peak(grid):
+def frozen_pair_peak(grid, g=InitialDescriptor((InitialTerm(1.0, (1, 1)),))):
     """tracemalloc's peak over solve_pair of the 2-D frozen-time benchmark
-    problem (eps = 1/8) on `grid`."""
+    problem (eps = 1/8) on `grid`, from g."""
     W = frozen_w(2)
     regime = resolve_regime(0.0, GammaMode.UNIT, W)
-    p = ProblemSpec(W=W, eps=1 / 8, regime=regime, f=F0,
-                    g=InitialDescriptor((InitialTerm(1.0, (1, 1)),)))
+    p = ProblemSpec(W=W, eps=1 / 8, regime=regime, f=F0, g=g)
     ceff = effective_potential(regime, W)
     tracemalloc.start()
     try:
@@ -879,6 +878,16 @@ def test_pair_memory_estimate_bounds_the_traced_peak():
     peak = frozen_pair_peak(grid)
     estimate = pair_cost(frozen_w(2), F0, grid)[1]
     assert peak <= estimate <= 1.25 * peak
+
+
+def test_pair_memory_does_not_grow_with_the_modes_of_g():
+    # pair_cost does not see g: the limit holds one number per mode and
+    # builds u in x one mode at a time, so sixteen distinct modes stay
+    # within the price of the benchmark pair.
+    grid = GridSpec(2, 269, 1.0 / 16384, 1.0 / 256, checkpoints=64)
+    g = InitialDescriptor(tuple(InitialTerm(1.0, (j, 17 - j))
+                                for j in range(1, 17)))
+    assert frozen_pair_peak(grid, g) <= pair_cost(frozen_w(2), F0, grid)[1]
 
 
 def test_pair_memory_does_not_grow_with_the_checkpoints():
@@ -905,8 +914,9 @@ def test_cost_gate_counts_updates_and_memory_per_worker():
 
 def test_cost_gate_prices_a_certified_point_by_its_larger_pair():
     # A point keeps only the norms of its coarse pair while the refined
-    # pair runs, so the two pairs together may exceed the limit.
-    W = frozen_w(2)
+    # pair runs, so the two pairs together may exceed the limit.  The
+    # extra conjugate pair in W puts the two pairs' sum over the limit.
+    W = frozen_w(2) + TrigField.from_cos(2, (0, 1), 0)
     coarse = GridSpec(2, 2600, 1.0 / 64, 1.0, checkpoints=64)
     fine = coarse.refined()
     need = [pair_cost(W, F0, g)[1] for g in (coarse, fine)]
