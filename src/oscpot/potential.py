@@ -184,25 +184,50 @@ class TrigField:
     def __mul__(self, other) -> "TrigField":
         if isinstance(other, (int, float)):
             return self.__rmul__(other)
-        if isinstance(other, TrigField):
-            _check_product(self, other)
-            out: dict = {}
-            get = out.get
-            for m1, n1, c1 in self.terms:
-                for m2, n2, c2 in other.terms:
-                    key = (tuple(map(int.__add__, m1, m2)), n1 + n2)
-                    out[key] = get(key, 0j) + c1 * c2
-            merged = {k: c for k, c in out.items() if c != 0}
-            # Conjugate modes accumulate their products in different
-            # orders, so one can cancel exactly while its partner keeps a
-            # round-off residue; project back onto the real subspace.
-            sym = []
-            for key in set(merged) | {_neg(k) for k in merged}:
-                value = 0.5 * (merged.get(key, 0j)
-                               + merged.get(_neg(key), 0j).conjugate())
-                sym.append((key, value))
-            return _build(self.d, sym)
-        return NotImplemented
+        if not isinstance(other, TrigField):
+            return NotImplemented
+        _check_product(self, other)
+        # Bit for bit the pair loop of the tests' `_reference_product`:
+        # c1 * c2 added per key into a dict from 0j, self's terms outer,
+        # then 0.5 (z + conj z_mirror) per key.  Pair coefficients follow
+        # CPython's complex product in real arithmetic, np.add.at adds
+        # each key's pairs in row-major pair order from +0.0, and 0.5 * z
+        # is CPython 3.11's float * complex.  Conjugate modes accumulate
+        # in different orders, so one can cancel exactly while its partner
+        # keeps a round-off residue; the projection keeps the field real.
+        (ka, ar, ai), (kb, br, bi) = _columns(self), _columns(other)
+        keys = (ka[:, :, None] + kb[:, None, :]).reshape(self.d + 1, -1)
+        re = (np.multiply.outer(ar, br) - np.multiply.outer(ai, bi)).ravel()
+        im = (np.multiply.outer(ar, bi) + np.multiply.outer(ai, br)).ravel()
+        # lexsort orders key columns as `sorted` orders (m, n) tuples, so
+        # the union of the keys and their mirrors comes out in the order
+        # of `_fill`; it is closed under negation, so the mirror of union
+        # column g is column len - 1 - g.
+        both = np.concatenate([keys, -keys], axis=1)
+        order = np.lexsort(both[::-1])
+        ranked = both[:, order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+        group = np.empty(len(order), dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        union = ranked[:, new]
+        sr, si = np.zeros((2, union.shape[1]))
+        np.add.at(sr, group[:len(re)], re)
+        np.add.at(si, group[:len(im)], im)
+        zr, zi = sr + sr[::-1], si - si[::-1]
+        # 0.5 * z, then the 0.0 + c of `_merge`, which clears -0.0.
+        re = 0.5 * zr - 0.0 * zi + 0.0
+        im = 0.5 * zi + 0.0 * zr + 0.0
+        keep = (re != 0) | (im != 0)
+        # Parts set one by one keep their bits, signed zeros included.
+        coeffs = np.empty(np.count_nonzero(keep), dtype=complex)
+        coeffs.real, coeffs.imag = re[keep], im[keep]
+        field = object.__new__(TrigField)
+        object.__setattr__(field, "d", self.d)
+        object.__setattr__(field, "terms", tuple(zip(
+            map(tuple, union[:-1, keep].T.tolist()), union[-1, keep].tolist(),
+            coeffs.tolist())))
+        return field
 
     # -- evaluation -----------------------------------------------------
 
@@ -303,6 +328,14 @@ def _check_product(a: TrigField, b: TrigField) -> None:
     # the conjugate projection of __mul__ adds two of them before halving.
     if not math.isfinite(2.0 * a.coeff_mass * b.coeff_mass):
         raise OverflowError("field product overflows double precision")
+
+
+def _columns(field: TrigField):
+    """field's terms as columns: the int64 keys (m..., n), one column per
+    term, and the float64 real and imaginary parts."""
+    keys = np.array([m + (n,) for m, n, _ in field.terms], dtype=np.int64)
+    c = np.array([c for _, _, c in field.terms], dtype=complex)
+    return keys.reshape(-1, field.d + 1).T, c.real, c.imag
 
 
 def _check_imag(total: np.ndarray, mass: float) -> None:

@@ -451,6 +451,17 @@ def limit_address_space_2gib():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30))
 
 
+def gate_potential(pairs: int) -> dict:
+    """A 2-D critical W with `pairs` conjugate pairs cos(2 pi (m.y - tau)).
+    Each pair adds two cell arrays to a pair solve's price and leaves
+    its grid as it is, so the memory-gate tests price their configs at
+    about twice MEMORY_LIMIT, clear of small changes to `pair_cost`."""
+    ms = [[1, 0], [0, 1], [1, 1], [1, -1], [2, 0], [0, 2], [2, 1], [1, 2],
+          [2, -1]]
+    return {"d": 2, "modes": [{"m": m, "n": -1, "re": 0.5, "im": 0.0}
+                              for m in ms[:pairs]]}
+
+
 #: command, config, flags, exit code and stderr prefix of one failure per
 #: failing exit code (three kinds of resource violation).
 ONE_LINE_FAILURES = {
@@ -581,15 +592,11 @@ class TestBadValues:
             capsys.readouterr().err
 
     def test_solve_memory_gate_exits_before_allocating(self, tmp_path):
-        # eps = 0.005 in 2-D with two conjugate pairs in W: nx 6,479, so
-        # the pair would hold about 4.1 GiB.  The address-space cap turns
-        # an allocation attempt into a quick MemoryError, not a machine
-        # running out of memory.
-        cfg = base_config(epsilon=0.005, potential={"d": 2, "modes": [
-            {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0},
-            {"m": [-1, 0], "n": 1, "re": 0.5, "im": 0.0},
-            {"m": [0, 1], "n": -1, "re": 0.5, "im": 0.0},
-            {"m": [0, -1], "n": 1, "re": 0.5, "im": 0.0}]})
+        # eps = 0.005 in 2-D with eight conjugate pairs in W: nx 6,479, so
+        # the pair would hold about 7.8 GiB, twice the limit.  The
+        # address-space cap turns an allocation attempt into a quick
+        # MemoryError, not a machine running out of memory.
+        cfg = base_config(epsilon=0.005, potential=gate_potential(8))
         cfg["problem"]["g"] = [{"amp": 1.0, "j": [1, 1]}]
         proc = run_cli_subprocess("solve", cfg, tmp_path, timeout=60,
                                   preexec_fn=limit_address_space_2gib)
@@ -739,13 +746,11 @@ class TestBadValues:
                        str(need)) == cli.EXIT_OK
 
     def test_sweep_memory_gate_exits_before_allocating(self, tmp_path):
-        # A 2-D ladder from eps = 1/64, with three modes in W: the refined
-        # pair of eps = 1/96 (nx 6,249) alone would hold about 4.4 GiB.
-        cfg = base_config(potential={"d": 2, "modes": [
-            {"m": [1, 0], "n": -1, "re": 0.5, "im": 0.0},
-            {"m": [0, 1], "n": -1, "re": 0.5, "im": 0.0},
-            {"m": [1, 1], "n": -1, "re": 0.5, "im": 0.0}]},
-            sweep={"epsilons": [1 / 64, 1 / 72, 1 / 80, 1 / 96]})
+        # A 2-D ladder from eps = 1/64, with nine conjugate pairs in W: the
+        # refined pair of eps = 1/96 (nx 6,249) alone would hold about
+        # 7.9 GiB, twice the limit.
+        cfg = base_config(potential=gate_potential(9),
+                          sweep={"epsilons": [1 / 64, 1 / 72, 1 / 80, 1 / 96]})
         cfg["problem"] = {"T": 1 / 64, "g": [{"amp": 1.0, "j": [1, 1]}]}
         proc = run_cli_subprocess("sweep", cfg, tmp_path, timeout=60,
                                   preexec_fn=limit_address_space_2gib)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from oscpot import (ScalarSeries, TrigField, cli, field_from_descriptor,
                     iteration_depth, policy_grid)
 from oscpot.correctors import grad_pair_mean, mean_product
-from oscpot.potential import _build, _merge, _neg
+from oscpot.potential import INDEX_LIMIT, _build, _merge, _neg
 
 SETTINGS = settings(max_examples=25, deadline=None)
 TWO_PI = 2.0 * math.pi
@@ -219,13 +219,81 @@ def _reference_product(a, b):
     return _build(a.d, sym)
 
 
+def _bits(field):
+    """field's terms with each coefficient part as `float.hex`, so that a
+    comparison tells -0.0 from 0.0."""
+    return [(m, n, c.real.hex(), c.imag.hex()) for m, n, c in field.terms]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([0, 1, 2]).flatmap(
     lambda d: st.tuples(fields(d, index=3, size=(8, 16)),
                         fields(d, index=3, size=(8, 16)))))
 def test_product_matches_the_entry_list_reference(case):
     a, b = case
-    assert (a * b).terms == _reference_product(a, b).terms
+    assert _bits(a * b) == _bits(_reference_product(a, b))
+
+
+def _edge_factors(case):
+    rng = np.random.default_rng(5)
+    top = INDEX_LIMIT
+
+    def field(d, keys):
+        return _field(d, [(m, n, *rng.normal(size=2)) for m, n in keys])
+
+    wide_1d = field(1, [((top,), 1), ((-top,), top), ((1,), -top),
+                        ((0,), 0), ((2,), 1)])
+    wide_2d = field(2, [((top, -top), top), ((top, 1), 0), ((0, -top), -1),
+                        ((1, 1), 1), ((-top, top), 2)])
+    if case == "empty-second-factor":
+        return wide_1d, _field(1, [])
+    if case == "empty-first-factor":
+        return _field(2, []), wide_2d
+    if case == "d0":
+        return field(0, [((), n) for n in range(-4, 5)]), \
+            field(0, [((), n) for n in (-7, 0, 2, 3)])
+    if case == "index-limit-1d":
+        return wide_1d, wide_1d
+    if case == "index-limit-2d":
+        return wide_2d, field(2, [((-top, -top), -top), ((1, 0), top)])
+    if case == "product-of-products":
+        # Keys of wide_2d * wide_2d reach 2^27; their product's, 2^28.
+        square = wide_2d * wide_2d
+        return square, square
+    if case == "unpaired-modes":
+        # `_build` takes modes without their mirrors; `__add__` can leave
+        # one where near-conjugate coefficients cancel on one side only.
+        spans = ((range(4), (0, 1)), (range(-1, 3), (0, 2)))
+        return tuple(_build(1, [(((m,), n), complex(*rng.normal(size=2)))
+                                for m in ms for n in ns])
+                     for ms, ns in spans)
+    if case == "subnormal-half":
+        # Half of the real part -5e-324 rounds to -0.0; the product's
+        # coefficient must still read +0.0 + 0.5j.
+        return (_build(1, [(((1,), 0), complex(-5e-324, 1.0))]),
+                TrigField.constant(1, 1.0))
+    # mirror-residue: n = 1 adds its pairs 1, 1e16, -1e16 in row-major
+    # order and cancels exactly; n = -1 adds their conjugates in reverse
+    # order and keeps 1, so the projection gives both 0.5.
+    return (ScalarSeries({-1: 1.0, 0: 1e8, 1: 1.0}),
+            ScalarSeries({-2: 1.0, -1: 1e8, 0: -1e16, 1: 1e8, 2: 1.0}))
+
+
+@pytest.mark.parametrize("case", [
+    "empty-second-factor", "empty-first-factor", "d0", "index-limit-1d",
+    "index-limit-2d", "product-of-products", "unpaired-modes",
+    "subnormal-half", "mirror-residue"])
+def test_edge_product_matches_the_entry_list_reference(case):
+    a, b = _edge_factors(case)
+    ab = a * b
+    assert _bits(ab) == _bits(_reference_product(a, b))
+    if case == "mirror-residue":
+        assert ab.coeff(1) == ab.coeff(-1) == 0.5
+    if case == "subnormal-half":
+        assert _bits(ab) == [((-1,), 0, "0x0.0p+0", "-0x1.0000000000000p-1"),
+                             ((1,), 0, "0x0.0p+0", "0x1.0000000000000p-1")]
+    if case.startswith("empty"):
+        assert ab.is_zero()
 
 
 @pytest.mark.parametrize("d, index, n_max", [(0, 0, 120), (1, 7, 7),
@@ -241,7 +309,7 @@ def test_dense_product_matches_the_entry_list_reference(d, index, n_max):
     assert len(a.terms) >= 200
     ab = a * b
     assert len(ab.terms) >= 200
-    assert ab.terms == _reference_product(a, b).terms
+    assert _bits(ab) == _bits(_reference_product(a, b))
     assert mean_product(a, b).hex() == ab.mean_full().hex()
 
 
