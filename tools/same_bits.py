@@ -8,9 +8,9 @@ benchmark makes them, and each workload runs in one program process of
 the benchmark (`perfbench/child.py`): the two sweeps and the 2-D solve
 through `oscpot.cli`, verify-random through `run_verify`.  Nothing
 under `perfbench/` is written.  Each workload writes into DIR/<name>/,
-inputs included, and one line `<sha256>  <name>/<file>` is printed per
-file.  Run on two checkouts, the printed lines differ only where an
-output's bytes do.
+which must not exist yet, inputs included, and one line
+`<sha256>  <name>/<file>` is printed per file.  Run on two checkouts,
+the printed lines differ only where an output's bytes do.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def hashes(name: str, seed: int, out: Path,
     `per_cell` potentials per (family, d) cell make verify-random's batch;
     a smaller count gives a prefix of the benchmark's batch."""
     outdir = out / name
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(parents=True)   # a new directory: no stale files hashed
     child = bench.Child()
     child.start()
     _, report = child.run(_job(name, seed, outdir, per_cell))
