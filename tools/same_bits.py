@@ -6,8 +6,8 @@ Run from anywhere; the package comes from this checkout's `src/`.  The
 inputs come from `perfbench/workloads.py`, made from the seed as the
 benchmark makes them, and each workload runs in one program process of
 the benchmark (`perfbench/child.py`): the two sweeps and the 2-D solve
-through `oscpot.cli`, verify-random through `run_verify`.  Nothing
-under `perfbench/` is written.  Each workload writes into DIR/<name>/,
+through `oscpot.cli`, verify-random through `run_verify`.  No file
+under `perfbench/` is edited.  Each workload writes into DIR/<name>/,
 which must not exist yet, inputs included, and one line
 `<sha256>  <name>/<file>` is printed per file.  Run on two checkouts,
 the printed lines differ only where an output's bytes do.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -32,9 +31,8 @@ def _job(name: str, seed: int, outdir: Path, per_cell: int) -> dict:
     """The benchmark's job for one operation of `name`, outputs in outdir."""
     if name != "verify-random":
         return bench.WORKLOADS[name].prepare(seed, outdir).job(outdir)
-    batch = outdir / "batch.json"
-    batch.write_text(json.dumps(wl.verify_batch(seed, per_cell), indent=1)
-                     + "\n")
+    batch = bench._write_json(outdir / "batch.json",
+                              wl.verify_batch(seed, per_cell))
     return {"kind": "verify", "batch": str(batch),
             "out": str(outdir / "results.json")}
 
