@@ -256,19 +256,29 @@ class TrigField:
         real = np.real(total)
         return float(real) if real.ndim == 0 else real
 
-    def definite_integral(self, a: float, b: float) -> float:
+    def definite_integral(self, a, b):
         """Integral over the real interval [a, b] (not reduced mod 1) of a
-        function of tau alone (d = 0)."""
+        function of tau alone (d = 0).  a and b may be arrays, one
+        interval per element; a field without terms gives the scalar 0.
+
+        Mode n != 0 adds Re(c D / (2 pi i n)), with D = e(n b) - e(n a)
+        and e(z) = exp(2 pi i z).  It is written in real arithmetic as
+        (Re c Im D + Im c Re D) * (1 / (2 pi n)), which rounds as numpy's
+        complex scalar product and quotient do; numpy's vector complex
+        product fuses other roundings, so an array built on it would not
+        give each element a scalar's bits."""
         if self.d != 0:
             raise ValueError("definite_integral needs a function of tau (d = 0)")
-        total = 0.0 + 0.0j
+        total = 0.0
         for _, n, c in self.terms:
             if n == 0:
-                total += c * (b - a)
+                total = total + c.real * (b - a)
             else:
-                two_pi_in = 2j * math.pi * n
-                total += c * (np.exp(two_pi_in * b) - np.exp(two_pi_in * a)) / two_pi_in
-        return float(total.real)
+                rate = 2.0 * math.pi * n
+                rise = np.exp(1j * (rate * b)) - np.exp(1j * (rate * a))
+                total = total + ((c.real * rise.imag + c.imag * rise.real)
+                                 * (1.0 / rate))
+        return total
 
     # -- averages -------------------------------------------------------
 

@@ -14,10 +14,12 @@ from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridSpec,
                     ResolutionViolation, ScalarSeries, SourceDescriptor,
                     SourceTerm, TrigField, effective_potential, policy_grid,
                     resolve_regime, solve_epsilon, solve_homogenized)
+from oscpot import pdesolve
 from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
                              DIFFUSIVE_DT_DIVISOR, DT_DIVISOR, MEMORY_LIMIT,
                              POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
                              _conjugate_pairs, _Diffusion,
+                             _homogenized_member, _march,
                              _OscillatedReaction, _dst, _sine_profile,
                              check_cost, check_resolution, pair_cost,
                              refinement_residual, solve_pair)
@@ -688,9 +690,20 @@ def spans_blocks(grid):
             and grid.steps_per_interval % per_block != 0)
 
 
+def block_grid(d, steps, T):
+    """A grid on which a block is 10 steps, whatever BLOCK_CELLS is: nx^d
+    cells close under BLOCK_CELLS / 10, `steps` steps per checkpoint
+    interval and 8 checkpoints to T."""
+    nx = BLOCK_CELLS // 10 if d == 1 else math.isqrt(BLOCK_CELLS // 10)
+    return GridSpec(d, nx, T / (8 * steps), T, checkpoints=8)
+
+
+#: 37 steps per checkpoint interval: three full blocks and one of 7 steps.
+SPANNING_1D = block_grid(1, 37, 1.0 / 16)
+
+
 @pytest.mark.parametrize("grid", [
-    GridSpec(1, 400, 1.0 / (8 * 37 * 16), 1.0 / 16, checkpoints=8),
-    GridSpec(2, 20, 1.0 / (8 * 23 * 64), 1.0 / 64, checkpoints=8),
+    SPANNING_1D, block_grid(2, 23, 1.0 / 64),
 ], ids=["1d", "2d"])
 def test_block_march_matches_the_per_step_march_bit_for_bit(grid):
     assert spans_blocks(grid)
@@ -712,7 +725,7 @@ def test_block_march_matches_the_per_step_march_bit_for_bit(grid):
 
 
 def test_blowup_inside_a_block_reports_the_per_step_time():
-    grid = GridSpec(1, 400, 1.0 / (8 * 37 * 16), 1.0 / 16, checkpoints=8)
+    grid = SPANNING_1D
     assert spans_blocks(grid)
     W = TrigField(1, [(((0,), 0), 120.0 + 0.0j)])
     p = ProblemSpec(W=W, eps=0.25, regime=resolve_regime(2.0, GammaMode.UNIT,
@@ -731,12 +744,13 @@ def test_blowup_inside_a_block_reports_the_per_step_time():
     assert 0 < i % grid.steps_per_interval % per_block < per_block - 1
 
 
-@pytest.mark.parametrize("march", ["eps", "homogenized"])
+@pytest.mark.parametrize("march", ["eps", "homogenized", "pair"])
 def test_each_amplitude_is_evaluated_once_per_full_step_time(monkeypatch,
                                                               march):
     # A block evaluates amp at its steps + 1 full-step times; only a
-    # block boundary is evaluated twice, once by each block.
-    grid = GridSpec(1, 400, 1.0 / (8 * 37 * 16), 1.0 / 16, checkpoints=8)
+    # block boundary is evaluated twice, once by each block.  The pair's
+    # two members share their blocks' evaluations.
+    grid = SPANNING_1D
     assert spans_blocks(grid)
     calls = []
     real = SourceTerm.amplitude
@@ -748,16 +762,124 @@ def test_each_amplitude_is_evaluated_once_per_full_step_time(monkeypatch,
     monkeypatch.setattr(SourceTerm, "amplitude", counting)
     terms = (SourceTerm(1.5, (1,), -0.3, 7.0), SourceTerm(-0.8, (2,)))
     f = SourceDescriptor(terms)
+    p = ProblemSpec(W=DIAG, eps=0.25, regime=resolve_regime(
+        2.0, GammaMode.UNIT, DIAG), f=f, g=G1)
     if march == "eps":
-        p = ProblemSpec(W=DIAG, eps=0.25, regime=resolve_regime(
-            2.0, GammaMode.UNIT, DIAG), f=f, g=G1)
         solve_epsilon(p, grid, enforce_policy=False)
+    elif march == "pair":
+        solve_pair(p, 1.0, grid, enforce_policy=False)
     else:
         solve_homogenized(1.0, f, G1, grid)
     per_block = BLOCK_CELLS // grid.nx
     blocks = grid.checkpoints * -(-grid.steps_per_interval // per_block)
     for term in terms:
         assert calls.count(term) == grid.total_steps + blocks
+
+
+def per_step_limit(ceff, f, g, grid):
+    """The modal limit one step at a time, on floats: one orthonormal
+    DST-I coefficient per distinct j of g and then f (no j may alias on
+    the grid), each half-step's decay from the complex closed form of
+    int c_eff, the CN gain of the mode's eigenvalue, and each source
+    term's trapezoidal amplitude sum times its s_hat.  Returns the
+    coefficients at each checkpoint and the running norm maximum, or
+    raises BlowUp."""
+    h, dt = grid.h, grid.dt_effective
+    lam1 = -(4.0 / h ** 2) * np.sin(np.arange(1, grid.nx + 1)
+                                    * math.pi * h / 2.0) ** 2
+    modes = list(dict.fromkeys([t.j for t in g.terms + f.terms]))
+    assert all(0 < j <= grid.nx for r in modes for j in r)
+    z = [0.5 * dt * sum(lam1[j - 1] for j in r) for r in modes]
+    gain = [float((1.0 + zk) / (1.0 - zk)) for zk in z]
+    unit = ((grid.nx + 1) / 2.0) ** (grid.d / 2.0)
+    sources = [(term, modes.index(term.j),
+                float(unit * (1.0 / (1.0 - z[modes.index(term.j)]))
+                      * 0.5 * dt)) for term in f.terms]
+    v = [0.0] * len(modes)
+    for term in g.terms:
+        v[modes.index(term.j)] += unit * term.amp
+
+    def decay(a, b):
+        total = 0.0 + 0.0j
+        for _, n, c in ceff.terms:
+            if n == 0:
+                total += c * (b - a)
+            else:
+                w = 2j * math.pi * n
+                total += c * (np.exp(w * b) - np.exp(w * a)) / w
+        return math.exp(-total.real)
+
+    scale = h ** (grid.d / 2.0)
+    half = np.longdouble(grid.interval) / grid.steps_per_interval / 2
+    coeffs = [list(v)]
+    max_l2 = scale * math.hypot(*v)
+    for i in range(grid.total_steps):
+        ta, tm, tb = (float(np.longdouble(j) * half)
+                      for j in (2 * i, 2 * i + 1, 2 * i + 2))
+        first, second = decay(ta, tm), decay(tm, tb)
+        v = [c * first * a for c, a in zip(v, gain)]
+        for term, k, s_hat in sources:
+            v[k] += (term.amplitude(ta) + term.amplitude(tb)) * s_hat
+        v = [c * second for c in v]
+        nrm = scale * math.hypot(*v)
+        if not nrm <= 1e12:
+            raise BlowUp(f"L2 norm {nrm:.3e} at t = {tb:.6g}")
+        max_l2 = max(max_l2, nrm)
+        if (i + 1) % grid.steps_per_interval == 0:
+            coeffs.append(v)
+    return coeffs, max_l2
+
+
+def test_block_limit_matches_the_per_step_limit_bit_for_bit():
+    grid = SPANNING_1D
+    assert spans_blocks(grid)
+    W = frozen_w(1)
+    ceff = effective_potential(resolve_regime(0.0, GammaMode.UNIT, W), W)
+    assert isinstance(ceff, ScalarSeries) and len(ceff.terms) > 1
+    g = InitialDescriptor((InitialTerm(1.0, (1,)), InitialTerm(0.3, (3,)),
+                           InitialTerm(-0.2, (1,))))
+    f = SourceDescriptor((SourceTerm(1.5, (2,), -0.3, 7.0),
+                          SourceTerm(-0.8, (3,), 0.0, 2.0)))
+    member, _ = _homogenized_member(ceff, f, g, grid)
+    got = []
+    [max_l2] = _march(grid, f, [member], lambda i, v: got.append(list(v)))
+    want, want_max = per_step_limit(ceff, f, g, grid)
+    assert len(want[0]) == 3 and len(got) == grid.checkpoints + 1
+    assert ([[c.hex() for c in v] for v in got]
+            == [[c.hex() for c in v] for v in want])
+    assert max_l2 == want_max
+    assert solve_homogenized(ceff, f, g, grid).max_l2 == want_max
+
+
+def test_limit_blowup_in_a_pair_is_raised_at_the_end_with_its_step_time(
+        monkeypatch):
+    grid = SPANNING_1D
+    assert spans_blocks(grid)
+    ceff = -1000.0
+    with pytest.raises(BlowUp) as want:
+        per_step_limit(ScalarSeries.constant(ceff), F0, G1, grid)
+    t = re.search(r"t = (\S+)", str(want.value)).group(1)
+    # The step that tripped the guard is neither the first nor the last of
+    # its block, and it is not in the last checkpoint interval.
+    per_block = BLOCK_CELLS // grid.nx
+    i = round(float(t) / grid.dt_effective) - 1
+    assert 0 < i % grid.steps_per_interval % per_block < per_block - 1
+    assert i < grid.total_steps - grid.steps_per_interval
+    seen = []
+    march = pdesolve._march
+
+    def recording(grid, f, members, checkpoint):
+        def record(i, *states):
+            seen.append(i)
+            checkpoint(i, *states)
+        return march(grid, f, members, record)
+
+    monkeypatch.setattr(pdesolve, "_march", recording)
+    with pytest.raises(BlowUp) as got:
+        solve_pair(heat_problem(grid), ceff, grid, enforce_policy=False)
+    assert str(got.value).startswith("homogenized: L2 norm")
+    assert f"t = {t} " in str(got.value)
+    assert seen == list(range(grid.checkpoints + 1))
 
 
 @pytest.mark.parametrize("shape", [(256,), (513,), (1025,), (64, 64)])

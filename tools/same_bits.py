@@ -62,7 +62,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory for the workloads' outputs")
     args = parser.parse_args(argv)
     for name in bench.WORKLOADS:
-        for line in hashes(name, args.seed, args.out):
+        # Absolute: the program process runs in the checkout's root.
+        for line in hashes(name, args.seed, args.out.resolve()):
             print(line, flush=True)
     return 0
 
