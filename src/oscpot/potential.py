@@ -258,15 +258,12 @@ class TrigField:
 
     def definite_integral(self, a, b):
         """Integral over the real interval [a, b] (not reduced mod 1) of a
-        function of tau alone (d = 0).  a and b may be arrays, one
-        interval per element; a field without terms gives the scalar 0.
-
-        Mode n != 0 adds Re(c D / (2 pi i n)), with D = e(n b) - e(n a)
-        and e(z) = exp(2 pi i z).  It is written in real arithmetic as
-        (Re c Im D + Im c Re D) * (1 / (2 pi n)), which rounds as numpy's
-        complex scalar product and quotient do; numpy's vector complex
-        product fuses other roundings, so an array built on it would not
-        give each element a scalar's bits."""
+        function of tau alone (d = 0); a and b may be arrays of interval
+        ends (a field without terms gives the scalar 0).  A mode n != 0
+        adds Re(c D / (2 pi i n)), D = e^(2 pi i n b) - e^(2 pi i n a),
+        written out as (Re c Im D + Im c Re D) * (1 / (2 pi n)): the
+        roundings of numpy's complex scalars, which its vector complex
+        product does not keep, so each element gets a scalar's bits."""
         if self.d != 0:
             raise ValueError("definite_integral needs a function of tau (d = 0)")
         total = 0.0
