@@ -614,26 +614,23 @@ def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
         check_resolution(grid, p.eps, p.regime.k, p.regime.gamma)
     reaction = _OscillatedReaction(p.W, p.eps, p.regime.k, p.regime.gamma, grid)
     cn = _Diffusion(grid, f)
-    axes = tuple(range(grid.d))
-    scale = grid.h ** (grid.d / 2.0)
 
     def block(u, times, t, sums):
         # In place: u is the march's own state, and the transforms and
-        # the source all act on it; flat is a view of it.
+        # the source all act on it.
         factors = reaction._factors(times)
-        flat = u.reshape(-1)
         norms = []
         for i in range(len(t) // 2):
             u *= factors[2 * i]
-            _pocketfft_dst(u, 1, axes, 0, u, 1)
+            _dst(u, 0, u)
             u *= cn.gain
             if source_fn is not None:
                 f_sum = source_fn(t[2 * i]) + source_fn(t[2 * i + 2])
                 u += cn.solve_weight * _dst(cn.half_dt * f_sum, 0)
             cn.add_sources(u, sums, i)
-            _pocketfft_dst(u, 1, axes, 2, u, 1)
+            _dst(u, 2, u)
             u *= factors[2 * i + 1]
-            norms.append(scale * math.sqrt(flat.dot(flat)))
+            norms.append(_l2(u, grid))
         return u, norms
 
     u0 = p.g.build(grid)
@@ -663,10 +660,8 @@ def _decays(ceff: TrigField, t: list[float]) -> list[float]:
     """exp(-int c_eff) over each interval [t[j], t[j+1]]; inf where that
     overflows a double, which the norm guard then reports."""
     ends = np.array(t)
-    integrals = (ceff.definite_integral(ends[:-1], ends[1:]) if ceff.terms
-                 else np.zeros(len(t) - 1))
     out = []
-    for x in integrals.tolist():
+    for x in ceff.definite_integral(ends[:-1], ends[1:]).tolist():
         try:
             out.append(math.exp(-x))
         except OverflowError:

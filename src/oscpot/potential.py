@@ -259,14 +259,14 @@ class TrigField:
     def definite_integral(self, a, b):
         """Integral over the real interval [a, b] (not reduced mod 1) of a
         function of tau alone (d = 0); a and b may be arrays of interval
-        ends (a field without terms gives the scalar 0).  A mode n != 0
-        adds Re(c D / (2 pi i n)), D = e^(2 pi i n b) - e^(2 pi i n a),
-        written out as (Re c Im D + Im c Re D) * (1 / (2 pi n)): the
-        roundings of numpy's complex scalars, which its vector complex
-        product does not keep, so each element gets a scalar's bits."""
+        ends.  A mode n != 0 adds Re(c D / (2 pi i n)),
+        D = e^(2 pi i n b) - e^(2 pi i n a), written out as
+        (Re c Im D + Im c Re D) * (1 / (2 pi n)): the roundings of numpy's
+        complex scalars, which its vector complex product does not keep,
+        so each element gets a scalar's bits."""
         if self.d != 0:
             raise ValueError("definite_integral needs a function of tau (d = 0)")
-        total = 0.0
+        total = 0.0 * (b - a)
         for _, n, c in self.terms:
             if n == 0:
                 total = total + c.real * (b - a)

@@ -1,22 +1,32 @@
 """tools/march_timing.py prints one line per pair grid of the sweep."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from oscpot import policy_grid
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "march_timing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "march_timing.py"
 
 
-def test_march_timing_prints_each_policy_grid_and_its_refinement(capsys):
-    spec = importlib.util.spec_from_file_location("march_timing", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.main(["--repeat", "1"]) == 0
-    header, *rows, total = capsys.readouterr().out.splitlines()
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_march_timing_prints_each_policy_grid_and_its_refinement():
+    # A process of its own: the tool pins BLAS threads and sys.path.
+    out = subprocess.run([sys.executable, str(TOOL), "--repeat", "1"],
+                         capture_output=True, text=True, check=True).stdout
+    header, *rows, total = out.splitlines()
     assert header.split() == ["eps", "nx", "steps", "best", "s", "us/step",
                               "Mcells/s"]
-    cfg = tool.wl.sweep_config(1, False)
+    cfg = _workloads().sweep_config(1, False)
     grids = []
     for eps in cfg["sweep"]["epsilons"]:
         grid = policy_grid(eps, 2.0, 1.0, cfg["problem"]["T"], 1,

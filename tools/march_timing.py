@@ -1,13 +1,12 @@
 """Time the pair march on the sweep-critical grids, in one process.
 
-    python tools/march_timing.py [--seed N] [--repeat R] [--forced]
+    python tools/march_timing.py [--seed N] [--repeat R]
 
 Run from anywhere; the package comes from this checkout's `src/`.  The
 sweep comes from `perfbench/workloads.py` (read only), as the benchmark
-makes it from the seed; `--forced` takes the sweep-forced-2w config
-instead, which adds a time-periodic source.  For each eps of the ladder,
-`solve_pair` runs on the policy grid and on its refinement, the two jobs
-a Richardson-certified sweep point runs, one after the other in this
+makes it from the seed.  For each eps of the ladder, `solve_pair` runs
+on the policy grid and on its refinement, the two jobs a
+Richardson-certified sweep point runs, one after the other in this
 process.  Each grid prints the best of R wall times (ROADMAP layer L2):
 microseconds per time step and million cell updates per second
 (`GridSpec.cell_updates`); the last line sums the best times.  BLAS runs
@@ -39,10 +38,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=5,
                         help="runs per grid; the best is printed")
-    parser.add_argument("--forced", action="store_true",
-                        help="the sweep-forced-2w config (with a source)")
     args = parser.parse_args(argv)
-    cfg = wl.sweep_config(args.seed, args.forced)
+    cfg = wl.sweep_config(args.seed, False)
     W = build_potential(cfg)
     regime = build_regime(cfg, W)
     ceff = effective_potential(regime, W)
