@@ -379,8 +379,8 @@ def cmd_solve(cfg: dict, args) -> int:
     eps = float(eps)
     T, f, g = build_problem(cfg, W.d)
     grid_block = cfg.get("grid", {})
-    checkpoints = _count(grid_block, "checkpoints", "grid", 64,
-                         MIN_CHECKPOINTS)
+    checkpoints = _count(grid_block, "checkpoints", "grid",
+                         GridSpec.checkpoints, MIN_CHECKPOINTS)
     base = policy_grid(eps, regime.k, regime.gamma, T, W.d, checkpoints)
     nx = _count(grid_block, "nx", "grid", base.nx, 1)
     dt = _number(grid_block, "dt", "grid", positive=True, default=base.dt)

@@ -24,6 +24,9 @@ Sign convention: the homogenized problem is always written
 and with that convention every regime produces c_eff <= 0.  For the
 k <= 1 families a flipped sign is sometimes quoted; set sign_override on
 the regime to reproduce it for comparison runs.
+
+build_correctors, effective_potential and identity_report read one
+corrector set, whose builder alone decides which correctors W admits.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import ChainIdentityViolation, SolvabilityViolation
 from .potential import TWO_PI, ScalarSeries, TrigField, _build, _check_product
-from .regimes import RegimeFamily, RegimeSpec
+from .regimes import RegimeFamily, RegimeSpec, _tau_mean_free, _zero_mean
 
 #: Relative tolerance for exact-in-principle coefficient identities.
 COEFF_TOL = 1e-12
@@ -127,7 +130,10 @@ def solve_chi7(W: TrigField) -> TrigField:
     (round-off tolerance) before the residual mean is stripped and the
     primitive taken.  The result satisfies mean_tau(chi7 * W) = 0.
     """
-    parts = chi5_chain(W)
+    return _chi7(chi5_chain(W), W)
+
+
+def _chi7(parts: TimePrimitives, W: TrigField) -> TrigField:
     P = _strip_tau_mean(parts.chi5_tilde * W, "chi7 integrand")
     return P.antiderivative_tau()
 
@@ -187,32 +193,15 @@ def grad_pair_mean(a: TrigField, b: TrigField) -> float:
 
 def effective_potential(regime: RegimeSpec, W: TrigField) -> float | ScalarSeries:
     """Effective potential for the homogenized problem
-    du0/dt - Lap(u0) + c_eff u0 = f.
+    du0/dt - Lap(u0) + c_eff u0 = f, from the corrector set of W and a
+    regime resolved for W (with a one-stage chain, which c_eff never reads).
 
     Constant for every family except FROZEN_TIME (k = 0), where the
     spatial average happens at frozen time and c_eff is a 1-periodic
     function of t.  regime.sign_override flips the sign, which serves as
     a deliberate wrong-limit control in sweeps.
     """
-    fam = regime.family
-    if fam is RegimeFamily.CRITICAL:
-        value: float | TrigField = -mean_product(solve_chi1(W), W)
-    elif fam is RegimeFamily.SUPERCRITICAL:
-        value = mean_product(solve_chi2(W), W)
-    elif fam in (RegimeFamily.SUBCRITICAL, RegimeFamily.SLOW_TIME):
-        value = mean_product(solve_chi3(W), W)
-    elif fam is RegimeFamily.FROZEN_TIME:
-        value = (solve_chi3(W) * W).mean_y()
-    elif fam is RegimeFamily.STRONG_FAST_TIME:
-        chi4 = chi5_chain(W).chi4
-        value = grad_pair_mean(chi4, W)
-    else:
-        raise ValueError(f"unknown regime family {fam!r}")
-    if regime.sign_override:
-        value = -1.0 * value
-    if isinstance(value, TrigField):
-        return ScalarSeries((n, c) for _, n, c in value.terms)
-    return value
+    return _corrector_set(W, regime, 1).effective
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +224,44 @@ class CorrectorSet:
     chain: tuple[TrigField, ...] = ()
 
 
-def build_correctors(W: TrigField, regime: RegimeSpec) -> CorrectorSet:
-    """Compute all correctors whose structural preconditions W satisfies.
-
-    chi3 always exists.  chi1, chi2 and the chain need M(W) = 0, which
-    holds in every admissible regime.  The chi5 family needs all n = 0
-    modes absent, which is the strong fast-time admissibility condition
-    but can hold incidentally elsewhere.
-    """
-    zero_mean = abs(W.mean_full()) == 0.0
-    tau_mean_free = W.mean_tau().is_zero()
-    chain_depth = 2
-    if regime.chain_depth is not None:
-        # One past the argument's required depth, as a diagnostic.
-        chain_depth = regime.chain_depth + 1
-    prim = chi5_chain(W) if tau_mean_free else None
+def _corrector_set(W: TrigField, regime: RegimeSpec, depth: int) -> CorrectorSet:
+    """Decide with the regimes' predicates which correctors W admits, and
+    solve each once; the chain gets `depth` stages.  chi3 always exists.
+    chi1, chi2 and the chain need M(W) = 0, which holds in every admissible
+    regime.  The chi5 family and chi7 need all n = 0 modes absent, the
+    strong fast-time condition, which can hold incidentally elsewhere."""
+    zero_mean = _zero_mean(W)
+    chi1 = solve_chi1(W) if zero_mean else None
+    chi2 = solve_chi2(W) if zero_mean else None
+    chi3 = solve_chi3(W)
+    prim = chi5_chain(W) if _tau_mean_free(W) else None
+    fam = regime.family
+    if fam is RegimeFamily.CRITICAL:
+        value: float | TrigField = -mean_product(chi1, W)
+    elif fam is RegimeFamily.SUPERCRITICAL:
+        value = mean_product(chi2, W)
+    elif fam in (RegimeFamily.SUBCRITICAL, RegimeFamily.SLOW_TIME):
+        value = mean_product(chi3, W)
+    elif fam is RegimeFamily.FROZEN_TIME:
+        value = (chi3 * W).mean_y()
+    else:  # STRONG_FAST_TIME
+        value = grad_pair_mean(prim.chi4, W)
+    if regime.sign_override:
+        value = -1.0 * value
+    if isinstance(value, TrigField):
+        value = ScalarSeries((n, c) for _, n, c in value.terms)
     return CorrectorSet(
-        regime=regime,
-        effective=effective_potential(regime, W),
-        chi1=solve_chi1(W) if zero_mean else None,
-        chi2=solve_chi2(W) if zero_mean else None,
-        chi3=solve_chi3(W),
-        primitives=prim,
-        chi7=solve_chi7(W) if tau_mean_free else None,
-        chain=tuple(chi3_chain(W, chain_depth)) if zero_mean else (),
-    )
+        regime=regime, effective=value, chi1=chi1, chi2=chi2, chi3=chi3,
+        primitives=prim, chi7=None if prim is None else _chi7(prim, W),
+        chain=tuple(chi3_chain(W, depth)) if zero_mean else ())
+
+
+def build_correctors(W: TrigField, regime: RegimeSpec) -> CorrectorSet:
+    """Compute all correctors whose structural preconditions W satisfies
+    (see `_corrector_set`), with the chain one stage past the subcritical
+    argument's depth as a diagnostic, else two stages."""
+    depth = 2 if regime.chain_depth is None else regime.chain_depth + 1
+    return _corrector_set(W, regime, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +309,15 @@ def identity_report(W: TrigField, regime: RegimeSpec) -> IdentityReport:
     proofs rest on; all are exact for trigonometric potentials, so any
     residual beyond round-off indicates a defect.
 
+    The correctors come from one corrector set with a two-stage chain.
     Round-off grows with the terms compared, so each residual is held to
     IDENTITY_TOL * max(1, s), s the larger average of an energy pairing
-    or the coefficient mass of the product whose mean must vanish.
-    Checks whose structural precondition W does not meet are reported as
-    skipped, not failed.
+    or the coefficient mass of the product whose mean must vanish.  A
+    vanishing mean that is a field of y, mean_tau(chi7 * W), is measured
+    by its coefficient mass, which bounds its value at every y.  A check
+    whose corrector W does not admit is reported as skipped, not failed.
     """
+    cs = _corrector_set(W, regime, 2)
     checks: list[IdentityCheck] = []
 
     def add(name, residual, scale):
@@ -324,57 +329,45 @@ def identity_report(W: TrigField, regime: RegimeSpec) -> IdentityReport:
         # a + b vanishes for a correct corrector.
         add(name, abs(a + b), max(abs(a), abs(b)))
 
-    def skip(name, why):
-        checks.append(IdentityCheck(name, None, IDENTITY_TOL, True, why))
-
-    zero_mean = abs(W.mean_full()) == 0.0
-    tau_mean_free = W.mean_tau().is_zero()
+    def skip(why, *names):
+        for name in names:
+            checks.append(IdentityCheck(name, None, IDENTITY_TOL, True, why))
 
     # Energy pairings: each average against W equals (+/-) the Dirichlet
     # energy of the corrector.
-    if zero_mean:
-        chi1 = solve_chi1(W)
-        pair("chi1_energy", grad_pair_mean(chi1, chi1), -mean_product(chi1, W))
-        chi2 = solve_chi2(W)
-        pair("chi2_energy", grad_pair_mean(chi2, chi2), mean_product(chi2, W))
+    if cs.chi1 is not None:
+        pair("chi1_energy", grad_pair_mean(cs.chi1, cs.chi1),
+             -mean_product(cs.chi1, W))
+        pair("chi2_energy", grad_pair_mean(cs.chi2, cs.chi2),
+             mean_product(cs.chi2, W))
     else:
-        skip("chi1_energy", "needs M(W) = 0")
-        skip("chi2_energy", "needs M(W) = 0")
-    chi3 = solve_chi3(W)
-    pair("chi3_energy", grad_pair_mean(chi3, chi3), mean_product(chi3, W))
+        skip("needs M(W) = 0", "chi1_energy", "chi2_energy")
+    pair("chi3_energy", grad_pair_mean(cs.chi3, cs.chi3),
+         mean_product(cs.chi3, W))
 
-    if tau_mean_free:
-        parts = chi5_chain(W)
+    if cs.primitives is not None:
+        parts = cs.primitives
         pair("chi4_energy", grad_pair_mean(parts.chi4, W),
              grad_pair_mean(parts.chi5_tilde, parts.chi5_tilde))
         # The pairing of W with its own primitive integrates to half the
         # square of the tau-mean, which is zero here.
         prod = parts.chi5 * W
         add("chi5_pair_mean", abs(prod.mean_full()), prod.coeff_mass)
-        prod = solve_chi7(W) * W
-        resid_field = prod.mean_tau()
-        grid = [np.linspace(0.0, 1.0, 33, endpoint=False)] * W.d
-        mesh = np.meshgrid(*grid, indexing="ij") if W.d > 1 else grid
-        vals = resid_field.evaluate(mesh if W.d > 1 else mesh[0], 0.0)
-        add("chi7_weighted_mean",
-            float(np.max(np.abs(vals))) if np.size(vals) else 0.0,
-            prod.coeff_mass)
+        prod = cs.chi7 * W
+        add("chi7_weighted_mean", prod.mean_tau().coeff_mass, prod.coeff_mass)
     else:
-        skip("chi4_energy", "needs mean_tau(W) = 0")
-        skip("chi5_pair_mean", "needs mean_tau(W) = 0")
-        skip("chi7_weighted_mean", "needs mean_tau(W) = 0")
+        skip("needs mean_tau(W) = 0",
+             "chi4_energy", "chi5_pair_mean", "chi7_weighted_mean")
 
     # Vanishing means of the iterated time correctors: stage i pairs with
     # mean_y(W) to a power of M(W)/(i+1)!, which must vanish.
-    if zero_mean:
-        chain = chi3_chain(W, 2)
+    if cs.chain:
         W4 = W.mean_y()
-        for i, stage in enumerate(chain, start=1):
+        for i, stage in enumerate(cs.chain, start=1):
             prod = stage * W4
             add(f"chain_mean_{i}", abs(prod.coeff(0)), prod.coeff_mass)
     else:
-        skip("chain_mean_1", "needs M(W) = 0")
-        skip("chain_mean_2", "needs M(W) = 0")
+        skip("needs M(W) = 0", "chain_mean_1", "chain_mean_2")
 
     return IdentityReport(tuple(checks))
 

@@ -92,7 +92,7 @@ import numpy as np
 from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
 from .errors import BlowUp, BudgetExceeded, ResolutionViolation
-from .potential import ScalarSeries, TrigField
+from .potential import ScalarSeries, TrigField, _frac_div
 from .regimes import RegimeSpec
 
 BLOWUP_LIMIT = 1e12
@@ -220,13 +220,12 @@ def _step_count(interval: float, dt: float) -> float:
 
 
 def policy_grid(eps: float, k: float, gamma: float, T: float, d: int,
-                checkpoints: int = 64) -> GridSpec:
+                checkpoints: int = GridSpec.checkpoints) -> GridSpec:
     """Default grid for this eps: double the policy floor in space, nx+1
     rounded up to a 5-smooth number (see the module docstring), and dt
     under both the oscillation cap and the diffusive-relaxation cap."""
     interval = T / checkpoints
-    dt_cap = min(min(eps ** k, eps ** (gamma + 1.0)) / DT_DIVISOR,
-                 diffusive_cap(eps))
+    dt_cap = min(_oscillation_cap(eps, k, gamma), diffusive_cap(eps))
     # First, so that an eps whose 32/eps overflows (eps^2 is then 0) ends here.
     steps = max(1, math.ceil(_step_count(interval, dt_cap)))
     floor = max(8, math.ceil(POINTS_PER_EPS_DEFAULT / eps))
@@ -248,6 +247,11 @@ def _five_smooth_ceil(n: int) -> int:
     return best
 
 
+def _oscillation_cap(eps: float, k: float, gamma: float) -> float:
+    """The policy's cap on dt, min(eps^k, eps^(gamma+1))/DT_DIVISOR."""
+    return min(eps ** k, eps ** (gamma + 1.0)) / DT_DIVISOR
+
+
 def diffusive_cap(eps: float) -> float:
     """The policy's diffusive-relaxation cap on dt, eps^2/64.  Policy grids
     keep it; `check_resolution` does not enforce it on user grids."""
@@ -260,7 +264,7 @@ def check_resolution(grid: GridSpec, eps: float, k: float, gamma: float) -> None
         raise ResolutionViolation(
             f"nx = {grid.nx} < {POINTS_PER_EPS}/eps = {POINTS_PER_EPS / eps:.1f}; "
             f"spatial oscillation unresolved")
-    dt_cap = min(eps ** k, eps ** (gamma + 1.0)) / DT_DIVISOR
+    dt_cap = _oscillation_cap(eps, k, gamma)
     if grid.dt_effective > dt_cap * slack:
         raise ResolutionViolation(
             f"dt = {grid.dt_effective:.3e} exceeds policy cap {dt_cap:.3e} "
@@ -493,8 +497,7 @@ class _OscillatedReaction:
         self.eps_k_ld = eps_ld ** np.longdouble(k)
         eps_k = float(self.eps_k_ld)
         scale = float(eps_ld ** np.longdouble(-gamma))
-        ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
-              .astype(float) for x in grid.mesh()]
+        ys = [_frac_div(x, eps_ld) for x in grid.mesh()]
         pairs = _conjugate_pairs(W)
         self.profiles = np.empty((2 * len(pairs), grid.nx ** grid.d))
         for p, (m, n, c) in enumerate(pairs):
@@ -521,8 +524,7 @@ class _OscillatedReaction:
         over the half-step, or (tb - ta, 0) for n = 0.  The exponent is
         einsum's contraction of the weights with the rows (not a matrix
         product; see the module docstring)."""
-        tau = np.remainder(times / self.eps_k_ld,
-                           np.longdouble(1.0)).astype(float)
+        tau = _frac_div(times, self.eps_k_ld)
         theta = np.multiply.outer(tau, self.rate)
         ring = np.empty(theta.shape + (2,))
         np.sin(theta, out=ring[..., 0])

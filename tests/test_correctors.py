@@ -320,7 +320,48 @@ def test_build_correctors_skips_unavailable():
     assert cs.chi3 is not None
 
 
+def test_chi5_chain_runs_once_per_corrector_set(monkeypatch):
+    import oscpot.correctors as mod
+    calls = []
+    real = mod.chi5_chain
+
+    def counted(W):
+        calls.append(W)
+        return real(W)
+    monkeypatch.setattr(mod, "chi5_chain", counted)
+    spec = regime_for("strong_fast_time", STRONG_W)
+    mod.build_correctors(STRONG_W, spec)
+    assert len(calls) == 1
+    mod.identity_report(STRONG_W, spec)
+    assert len(calls) == 2
+
+
 # -- identity report -------------------------------------------------------
+
+#: The corrector set's field that each identity check reads.
+CHECKED_FIELD = {
+    "chi1_energy": "chi1", "chi2_energy": "chi2", "chi3_energy": "chi3",
+    "chi4_energy": "primitives", "chi5_pair_mean": "primitives",
+    "chi7_weighted_mean": "chi7", "chain_mean_1": "chain",
+    "chain_mean_2": "chain",
+}
+
+
+def test_identity_report_skips_exactly_the_absent_correctors():
+    rng = np.random.default_rng(1907)
+    for family in FAMILY_PARAMS:
+        W = random_admissible(family, rng)
+        spec = regime_for(family, W)
+        cs = build_correctors(W, spec)
+        absent = {name for name, attr in CHECKED_FIELD.items()
+                  if getattr(cs, attr) is None or getattr(cs, attr) == ()}
+        rep = identity_report(W, spec)
+        assert [c.name for c in rep.checks] == list(CHECKED_FIELD)
+        assert {c.name for c in rep.checks if c.skipped} == absent, family
+        if family == "strong_fast_time":
+            assert not absent
+
+
 
 def test_identity_report_all_pass_on_admissible():
     for family in FAMILY_PARAMS:
@@ -358,6 +399,21 @@ def test_identity_report_flags_corrupted_corrector(monkeypatch):
     rep = mod.identity_report(DIAG, regime_for("critical", DIAG))
     assert not rep.all_passed
     assert rep.first_failure().name == "chi1_energy"
+
+
+def test_chi7_residual_is_exact_between_sample_points(monkeypatch):
+    # The corruption adds 1e-6 sin(2 pi 33 y) / 2 to mean_tau(chi7 * W),
+    # which vanishes at every point of a 33-point grid in y.
+    import oscpot.correctors as mod
+    real = mod._chi7
+
+    def crooked(parts, W):
+        return real(parts, W) + 1e-6 * TrigField.from_sin(1, [34], -1)
+    monkeypatch.setattr(mod, "_chi7", crooked)
+    rep = mod.identity_report(DIAG, regime_for("critical", DIAG))
+    assert rep.first_failure().name == "chi7_weighted_mean"
+    chi7 = next(c for c in rep.checks if c.name == "chi7_weighted_mean")
+    assert chi7.residual == pytest.approx(0.5e-6, rel=1e-9)
 
 
 def test_identity_tolerance_scales_with_the_terms():
