@@ -354,13 +354,12 @@ def test_identity_report_skips_exactly_the_absent_correctors():
         spec = regime_for(family, W)
         cs = build_correctors(W, spec)
         absent = {name for name, attr in CHECKED_FIELD.items()
-                  if getattr(cs, attr) is None or getattr(cs, attr) == ()}
+                  if getattr(cs, attr) in (None, ())}
         rep = identity_report(W, spec)
         assert [c.name for c in rep.checks] == list(CHECKED_FIELD)
         assert {c.name for c in rep.checks if c.skipped} == absent, family
         if family == "strong_fast_time":
             assert not absent
-
 
 
 def test_identity_report_all_pass_on_admissible():
