@@ -29,15 +29,15 @@ same as in x.  The state goes to x only at a checkpoint: in 2-D through
 the product of the modes' orthonormal sine factors per axis, in 1-D one
 mode at a time, so the limit holds no cell array per mode.
 
-The eps march adds the declarative source in sine space: each term's
-profile enters the CN step as s_hat = solve_weight * dt/2 *
-DST(profile), computed once (`_Diffusion`), so an eps step takes two
-transforms.  A block evaluates each term's amplitude once per full-step
-time.  A `source_fn` given to `solve_epsilon` is summed in x and
-transformed at every step.  The eps march stores each conjugate pair of
-the real W once, as two real rows, so the exponent of a half-step's
-reaction factor is a real contraction of per-pair weights with those
-rows (`_OscillatedReaction`).
+The eps march adds the declarative source the same way: a term's
+profile has the forward DST-I sign * (nx+1)^d at its mode and zero
+elsewhere, so it adds to one coefficient (`_source_entries`), and an eps
+step takes two transforms whatever f is.  A block evaluates each term's
+amplitude once per full-step time.  A `source_fn` given to
+`solve_epsilon` is summed in x and transformed at every step.  The eps
+march stores each conjugate pair of the real W once, as two real rows,
+so the exponent of a half-step's reaction factor is a real contraction
+of per-pair weights with those rows (`_OscillatedReaction`).
 
 Block stepping: the march takes the steps of a checkpoint interval in
 blocks.  For each block it computes the long-double half-step boundary
@@ -437,26 +437,19 @@ def _cn_weights(grid: GridSpec, modes) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 + z) / (1.0 - z), 1.0 / (1.0 - z)
 
 
-class _Diffusion:
-    """The eps march's CN step in sine space: the gain per coefficient,
-    the solve weight, and s_hat = solve_weight * dt/2 * DST(profile) per
-    source term."""
-
-    def __init__(self, grid: GridSpec, f: SourceDescriptor):
-        axis = np.arange(1, grid.nx + 1)
-        self.gain, self.solve_weight = _cn_weights(grid,
-                                                   np.ix_(*[axis] * grid.d))
-        self.half_dt = 0.5 * grid.dt_effective
-        self.sources = [(term, self.solve_weight * self.half_dt
-                         * _dst(_sine_profile(grid, term.j), 0))
-                        for term in f.terms]
-
-    def add_sources(self, uh: np.ndarray, sums: list[list[float]],
-                    i: int) -> None:
-        """uh += the trapezoidal source of step i, that is (amp(t_a) +
-        amp(t_b)) * s_hat per term, in place; sums from amplitude_sums."""
-        for (_, s_hat), w in zip(self.sources, sums):
-            uh += w[i] * s_hat
+def _source_entries(f: SourceDescriptor, grid: GridSpec, weight,
+                    place: Callable, unit: float) -> list[tuple]:
+    """(n, k, s_hat) per term n of f on a nonzero profile (`_fold`): k =
+    place(r) indexes its mode r in the state, where the unsigned profile
+    has coefficient unit, and s_hat = solve_weight * dt/2 * sign * unit."""
+    entries = []
+    for n, term in enumerate(f.terms):
+        r, sign = _fold(grid, term.j)
+        if sign:
+            k = place(r)
+            entries.append((n, k, sign * unit * weight[k] * 0.5
+                            * grid.dt_effective))
+    return entries
 
 
 def _conjugate_pairs(W: TrigField) -> list[tuple[tuple[int, ...], int,
@@ -615,7 +608,12 @@ def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
     if enforce_policy:
         check_resolution(grid, p.eps, p.regime.k, p.regime.gamma)
     reaction = _OscillatedReaction(p.W, p.eps, p.regime.k, p.regime.gamma, grid)
-    cn = _Diffusion(grid, f)
+    axis = np.arange(1, grid.nx + 1)
+    gain, weight = _cn_weights(grid, np.ix_(*[axis] * grid.d))
+    # A profile's forward DST-I is (nx+1)^d at its mode, index r - 1.
+    sources = _source_entries(f, grid, weight,
+                              lambda r: tuple(ri - 1 for ri in r),
+                              (grid.nx + 1) ** grid.d)
 
     def block(u, times, t, sums):
         # In place: u is the march's own state, and the transforms and
@@ -625,11 +623,12 @@ def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
         for i in range(len(t) // 2):
             u *= factors[2 * i]
             _dst(u, 0, u)
-            u *= cn.gain
+            u *= gain
             if source_fn is not None:
                 f_sum = source_fn(t[2 * i]) + source_fn(t[2 * i + 2])
-                u += cn.solve_weight * _dst(cn.half_dt * f_sum, 0)
-            cn.add_sources(u, sums, i)
+                u += weight * _dst(0.5 * grid.dt_effective * f_sum, 0)
+            for n, k, s_hat in sources:
+                u[k] += sums[n][i] * s_hat
             _dst(u, 2, u)
             u *= factors[2 * i + 1]
             norms.append(_l2(u, grid))
@@ -691,14 +690,7 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
     for term, (r, sign) in zip(g.terms, g_folds):
         if sign:
             v0[modes.index(r)] += sign * unit * term.amp
-    # Per source term on a nonzero profile: its place in f, its mode k,
-    # and its s_hat there, solve_weight * dt/2 * sign * unit.
-    sources = []
-    for n, (r, sign) in enumerate(f_folds):
-        if sign:
-            k = modes.index(r)
-            sources.append((n, k, sign * unit * weight[k] * 0.5
-                            * grid.dt_effective))
+    sources = _source_entries(f, grid, weight, modes.index, unit)
     scale = grid.h ** (grid.d / 2.0)
 
     def block(v, times, t, sums):
@@ -786,28 +778,28 @@ def pair_cost(W: TrigField, f: SourceDescriptor,
     of checkpoints.  It holds five arrays (the eps march's state, CN gain
     and solve weight; two for the temporaries of a step or a checkpoint,
     where the limit's u in x and u_eps - u_hom are both live); two real
-    rows per conjugate pair of W; one sine-space profile per source term
-    in the eps march; and two blocks of reaction factors, each one double
-    per cell for each of a step's two half-steps.  Only one block is live
-    at a time, since a member's call frees its factors before the march
-    builds the next block's; the second prices the complex temporaries of
-    building W's rows, where the 2-D benchmark pair peaks (tracemalloc:
-    13.0 cell arrays against 15 priced, 11.0 while it marches).  The
-    limit holds one number per mode, and in 2-D the modes' sine factors,
-    2 nx numbers per mode, with nx more while it goes to x
-    (`_homogenized_member`): g adds less than a cell array unless it has
-    nx/3 or more distinct modes.
+    rows per conjugate pair of W; and two blocks of reaction factors,
+    each one double per cell for each of a step's two half-steps.  Only
+    one block is live at a time, since a member's call frees its factors
+    before the march builds the next block's; the second prices the
+    complex temporaries of building W's rows, where the 2-D benchmark
+    pair peaks (tracemalloc: 13.0 cell arrays against 15 priced, 11.0
+    while it marches).  f adds no cell array: a source term adds to one
+    coefficient of each member (`_source_entries`).  The limit holds one
+    number per mode, and in 2-D the modes' sine factors, 2 nx numbers per
+    mode, with nx more while it goes to x (`_homogenized_member`): g adds
+    less than a cell array unless it has nx/3 or more distinct modes.
 
     It prices per-cell arrays only, not Python objects or arrays whose
     size does not grow with the grid, so it is not an upper bound on
     small grids: on a 1-D nx 269 pair (96 checkpoints, one step each, one
-    source term, no potential) tracemalloc reads a peak of 13.5 cell
-    arrays against the 10 priced here.  The gap is a few KiB, far
+    source term, no potential) tracemalloc reads a peak of 11.9 cell
+    arrays against the 9 priced here.  The gap is a few KiB, far
     below the scale of the MEMORY_LIMIT gate.  With 11 steps per
-    checkpoint, as on the critical sweep's policy grid, it reads 33.2
-    against 50."""
+    checkpoint, as on the critical sweep's policy grid, it reads 31.5
+    against 49."""
     cells = grid.nx ** grid.d
-    per_cell = 5 + 2 * len(_conjugate_pairs(W)) + len(f.terms)
+    per_cell = 5 + 2 * len(_conjugate_pairs(W))
     block = 2 * 2 * _block_steps(grid) * cells
     return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
 
@@ -819,13 +811,14 @@ def check_cost(command: str, W: TrigField, f: SourceDescriptor,
     min(workers, len(grids)) at a time, fit in MEMORY_LIMIT bytes, and all
     of them in `budget` cell updates.  Memory is checked first, as the
     harder limit."""
-    size, nx = max((pair_cost(W, f, g)[1], g.nx) for g in grids)
+    costs = [pair_cost(W, f, g) for g in grids]
+    size, nx = max((peak, g.nx) for (_, peak), g in zip(costs, grids))
     need = size * max(1, min(workers, len(grids)))
     if need > MEMORY_LIMIT:
         raise BudgetExceeded(
             f"{command} needs about {need / 2 ** 30:.1f} GiB for nx = {nx} "
             f"in {grids[0].d}d, limit is {MEMORY_LIMIT / 2 ** 30:g} GiB")
-    total = sum(pair_cost(W, f, g)[0] for g in grids)
+    total = sum(updates for updates, _ in costs)
     cap = CELL_UPDATE_CEILING if budget is None else budget
     if total > cap:
         raise BudgetExceeded(

@@ -18,7 +18,7 @@ from oscpot import pdesolve
 from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
                              DIFFUSIVE_DT_DIVISOR, DT_DIVISOR, MEMORY_LIMIT,
                              POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
-                             _conjugate_pairs, _Diffusion,
+                             _conjugate_pairs, _fold,
                              _homogenized_member, _march,
                              _OscillatedReaction, _dst, _sine_profile,
                              check_cost, check_resolution, pair_cost,
@@ -489,18 +489,31 @@ def test_factor_rows_do_not_depend_on_the_block(grid):
 
 @FACTOR_GRIDS
 def test_sine_space_source_matches_the_x_space_route(grid):
-    d = grid.d
-    f = SourceDescriptor((SourceTerm(1.5, (1,) * d, -0.3, 7.0),
-                          SourceTerm(-0.8, (5,) + (2,) * (d - 1), 0.0, 2.0),
-                          SourceTerm(0.4, (17,) * d)))
-    cn = _Diffusion(grid, f)
-    source = compile_source(f, grid)
-    for a, b in ((0.0, 1e-3), (0.37, 0.371)):
-        got = np.zeros(grid.shape)
-        cn.add_sources(got, f.amplitude_sums([a, (a + b) / 2, b]), 0)
-        want = cn.solve_weight * _dst(cn.half_dt * (source(a) + source(b)),
-                                      0)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # The declarative f adds each term to one sine coefficient; the same
+    # f summed in x and transformed at every step is the oracle.  Terms
+    # that alias: sin((nx+1) pi x) is zero on the grid, 2(nx+1) - 3 is
+    # minus mode 3, 1 + 2(nx+1) 10^12 is mode 1, and 3 and 2(nx+1) + 3
+    # fold onto one mode.
+    d, period = grid.d, 2 * (grid.nx + 1)
+    rest = (2,) * (d - 1)
+    f = SourceDescriptor((
+        SourceTerm(1.5, (1,) * d, -0.3, 7.0),
+        SourceTerm(-0.8, (5,) + rest, 0.0, 2.0),
+        SourceTerm(0.4, (17,) * d),
+        SourceTerm(0.9, (grid.nx + 1,) + rest, 0.0, 3.0),
+        SourceTerm(0.6, (period - 3,) + rest, 0.2, 1.0),
+        SourceTerm(0.7, (1 + period * 10 ** 12,) * d, 0.0, 5.0),
+        SourceTerm(-0.5, (3,) + rest, -0.1, 4.0),
+        SourceTerm(0.3, (period + 3,) + rest)))
+    W = frozen_w(d)
+    p = ProblemSpec(W=W, eps=0.25, regime=resolve_regime(2.0, GammaMode.UNIT,
+                                                         W),
+                    f=f, g=InitialDescriptor())
+    got = solve_epsilon(p, grid, enforce_policy=False)
+    want = solve_epsilon(p, grid, enforce_policy=False,
+                         source_fn=compile_source(f, grid))
+    assert np.max(np.abs(got.snapshots - want.snapshots)) <= (
+        1e-12 * np.max(np.abs(want.snapshots)))
 
 
 def test_epsilon_solver_enforces_policy():
@@ -615,7 +628,7 @@ def per_step_march(p, grid):
     """The eps march one step at a time: each half-step's reaction factor
     built alone, as the k-ordered sum of real pair rows times their
     weights, the sine transforms through scipy.fft and each source term
-    added in sine space.  Returns the snapshots and the running norm
+    added to the one sine coefficient of its mode.  Returns the snapshots and the running norm
     maximum, or raises BlowUp."""
     eps_ld = np.longdouble(p.eps)
     eps_k_ld = eps_ld ** np.longdouble(p.regime.k)
@@ -655,11 +668,12 @@ def per_step_march(p, grid):
     gain, solve_weight = (1.0 + z) / (1.0 - z), 1.0 / (1.0 - z)
     sources = []
     for term in p.f.terms:
-        profile = 1.0
-        for j, x in zip(term.j, grid.mesh()):
-            profile = profile * np.sin(j * math.pi * x)
-        sources.append((term, solve_weight * (0.5 * dt)
-                        * scipy.fft.dstn(profile, type=1)))
+        # The DST-I of a folded profile is sign (nx+1)^d at its mode.
+        r, sign = _fold(grid, term.j)
+        if sign:
+            k = tuple(ri - 1 for ri in r)
+            sources.append((term, k, sign * (grid.nx + 1) ** grid.d
+                            * solve_weight[k] * 0.5 * dt))
     half = np.longdouble(grid.interval) / grid.steps_per_interval / 2
     u = p.g.build(grid)
     snaps = [u]
@@ -669,9 +683,9 @@ def per_step_march(p, grid):
                                                          2 * i + 2))
         u = u * factor(ta, tm)
         uh = gain * scipy.fft.dstn(u, type=1)
-        for term, s_hat in sources:
-            uh = uh + (term.amplitude(float(ta))
-                       + term.amplitude(float(tb))) * s_hat
+        for term, k, s_hat in sources:
+            uh[k] = uh[k] + (term.amplitude(float(ta))
+                             + term.amplitude(float(tb))) * s_hat
         u = scipy.fft.idstn(uh, type=1) * factor(tm, tb)
         nrm = h ** (grid.d / 2.0) * float(np.linalg.norm(u.ravel()))
         if not math.isfinite(nrm) or nrm > 1e12:
@@ -978,12 +992,13 @@ def test_repeat_solve_is_bitwise_identical():
 
 # -- cost model ------------------------------------------------------------
 
-def frozen_pair_peak(grid, g=InitialDescriptor((InitialTerm(1.0, (1, 1)),))):
+def frozen_pair_peak(grid, g=InitialDescriptor((InitialTerm(1.0, (1, 1)),)),
+                     f=F0):
     """tracemalloc's peak over solve_pair of the 2-D frozen-time benchmark
-    problem (eps = 1/8) on `grid`, from g."""
+    problem (eps = 1/8) on `grid`, from g, with source f."""
     W = frozen_w(2)
     regime = resolve_regime(0.0, GammaMode.UNIT, W)
-    p = ProblemSpec(W=W, eps=1 / 8, regime=regime, f=F0, g=g)
+    p = ProblemSpec(W=W, eps=1 / 8, regime=regime, f=f, g=g)
     ceff = effective_potential(regime, W)
     tracemalloc.start()
     try:
@@ -1010,6 +1025,17 @@ def test_pair_memory_does_not_grow_with_the_modes_of_g():
     g = InitialDescriptor(tuple(InitialTerm(1.0, (j, 17 - j))
                                 for j in range(1, 17)))
     assert frozen_pair_peak(grid, g) <= pair_cost(frozen_w(2), F0, grid)[1]
+
+
+def test_pair_memory_does_not_grow_with_the_source_terms():
+    # Each source term adds to one sine coefficient of the eps march and
+    # to one mode of the limit, so eight terms hold no more cell arrays
+    # than one.
+    grid = GridSpec(2, 199, 1.0 / 16384, 1.0 / 256, checkpoints=64)
+    peaks = [frozen_pair_peak(grid, f=SourceDescriptor(tuple(
+        SourceTerm(1.0, (j, 9 - j), -0.3, 7.0) for j in range(1, n + 1))))
+        for n in (1, 8)]
+    assert peaks[1] - peaks[0] < 8 * grid.nx ** 2
 
 
 def test_pair_memory_does_not_grow_with_the_checkpoints():
