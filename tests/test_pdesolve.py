@@ -628,8 +628,8 @@ def per_step_march(p, grid):
     """The eps march one step at a time: each half-step's reaction factor
     built alone, as the k-ordered sum of real pair rows times their
     weights, the sine transforms through scipy.fft and each source term
-    added to the one sine coefficient of its mode.  Returns the snapshots and the running norm
-    maximum, or raises BlowUp."""
+    added to the one sine coefficient of its mode.  Returns the snapshots
+    and the running norm maximum, or raises BlowUp."""
     eps_ld = np.longdouble(p.eps)
     eps_k_ld = eps_ld ** np.longdouble(p.regime.k)
     eps_k = float(eps_k_ld)
