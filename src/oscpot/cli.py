@@ -388,7 +388,7 @@ def cmd_solve(cfg: dict, args) -> int:
         grid = GridSpec(W.d, nx, dt, T, checkpoints)
     except ValueError as exc:
         raise ConfigError(f"'grid': {exc}") from exc
-    check_cost("solve", W, f, [grid], _setting(cfg, args, "budget"))
+    check_cost("solve", W, [grid], _setting(cfg, args, "budget"))
     out = _outdir(cfg, args)
     cap = diffusive_cap(eps)
     cap_met = grid.dt_effective <= cap * (1.0 + 1e-9)
@@ -502,10 +502,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         validate_config(cfg, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ the regime to reproduce it for comparison runs.
 
 build_correctors, effective_potential and identity_report read one
 corrector set, whose builder alone decides which correctors W admits.
+A sweep takes c_eff and the identity report from one build of it.
 """
 
 from __future__ import annotations
@@ -317,6 +318,14 @@ def identity_report(W: TrigField, regime: RegimeSpec) -> IdentityReport:
     by its coefficient mass, which bounds its value at every y.  A check
     whose corrector W does not admit is reported as skipped, not failed.
     """
+    return _checked_set(W, regime)[1]
+
+
+def _checked_set(W: TrigField, regime: RegimeSpec
+                 ) -> tuple[CorrectorSet, IdentityReport]:
+    """The corrector set identity_report reads, and its report.  The
+    chain does not enter c_eff, so the set's effective potential is
+    effective_potential's, and a sweep takes both from this one build."""
     cs = _corrector_set(W, regime, 2)
     checks: list[IdentityCheck] = []
 
@@ -369,7 +378,7 @@ def identity_report(W: TrigField, regime: RegimeSpec) -> IdentityReport:
     else:
         skip("needs M(W) = 0", "chain_mean_1", "chain_mean_2")
 
-    return IdentityReport(tuple(checks))
+    return cs, IdentityReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

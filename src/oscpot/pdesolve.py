@@ -404,12 +404,24 @@ class PairNorms:
         return float(np.max(self.l2_diff))
 
 
+#: Longest dot product in `_l2`: OpenBLAS's ddot splits a sum of more
+#: than 10,000 elements across its threads, so its bits would follow the
+#: thread count.
+_L2_CHUNK = 8192
+
+
 def _l2(u: np.ndarray, grid: GridSpec) -> float:
     # Composite trapezoid over the closed box; boundary values are zero,
-    # so the interior sum is the whole quadrature.
-    # sqrt(x.x) is what np.linalg.norm runs for a real vector.
+    # so the interior sum is the whole quadrature: sqrt(x.x), as
+    # np.linalg.norm runs it, with x.x added up in order from the dots
+    # of _L2_CHUNK-element pieces.
     x = u.ravel()
-    return grid.h ** (grid.d / 2.0) * math.sqrt(x.dot(x))
+    if len(x) <= _L2_CHUNK:
+        total = x.dot(x)
+    else:
+        total = sum(x[i:i + _L2_CHUNK].dot(x[i:i + _L2_CHUNK])
+                    for i in range(0, len(x), _L2_CHUNK))
+    return grid.h ** (grid.d / 2.0) * math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -709,15 +721,17 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
 
     # In 2-D, u in x is the (nx x modes) by (modes x nx) product of the
     # modes' orthonormal sine factors per axis, 2 nx numbers per mode.
-    # In 1-D a mode's factor is a cell array, so u is summed one mode at
-    # a time.  Either way the limit holds no cell array per mode.
+    # einsum adds the modes in order; a BLAS product's bits would follow
+    # the thread count.  In 1-D a mode's factor is a cell array, so u is
+    # summed one mode at a time.  Either way the limit holds no cell
+    # array per mode.
     x = grid.axes()[0]
     sines = [np.sin(np.multiply.outer(r * math.pi, x)) / math.sqrt(unit)
              for r in axes] if grid.d == 2 else None
 
     def to_x(v):
         if grid.d == 2:
-            return (sines[0].T * v) @ sines[1]
+            return np.einsum("ik,kj->ij", sines[0].T * v, sines[1])
         u = np.zeros(grid.nx)
         for c, (r,) in zip(v, modes):
             u += c / unit * np.sin(r * math.pi * x)
@@ -771,8 +785,7 @@ def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
                      max_l2_hom=max_l2_hom)
 
 
-def pair_cost(W: TrigField, f: SourceDescriptor,
-              grid: GridSpec) -> tuple[int, int]:
+def pair_cost(W: TrigField, grid: GridSpec) -> tuple[int, int]:
     """(cell updates, peak bytes) of solve_pair on `grid`.  The lockstep
     march keeps no snapshots, so the peak does not depend on the number
     of checkpoints.  It holds five arrays (the eps march's state, CN gain
@@ -784,11 +797,12 @@ def pair_cost(W: TrigField, f: SourceDescriptor,
     before the march builds the next block's; the second prices the
     complex temporaries of building W's rows, where the 2-D benchmark
     pair peaks (tracemalloc: 13.0 cell arrays against 15 priced, 11.0
-    while it marches).  f adds no cell array: a source term adds to one
-    coefficient of each member (`_source_entries`).  The limit holds one
-    number per mode, and in 2-D the modes' sine factors, 2 nx numbers per
-    mode, with nx more while it goes to x (`_homogenized_member`): g adds
-    less than a cell array unless it has nx/3 or more distinct modes.
+    while it marches).  The source adds no cell array, so the price does
+    not read it: a source term adds to one coefficient of each member
+    (`_source_entries`).  The limit holds one number per mode, and in 2-D
+    the modes' sine factors, 2 nx numbers per mode, with nx more while it
+    goes to x (`_homogenized_member`): g adds less than a cell array
+    unless it has nx/3 or more distinct modes.
 
     It prices per-cell arrays only, not Python objects or arrays whose
     size does not grow with the grid, so it is not an upper bound on
@@ -804,14 +818,13 @@ def pair_cost(W: TrigField, f: SourceDescriptor,
     return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
 
 
-def check_cost(command: str, W: TrigField, f: SourceDescriptor,
-               grids: Sequence[GridSpec], budget: int | None,
-               workers: int = 1) -> None:
+def check_cost(command: str, W: TrigField, grids: Sequence[GridSpec],
+               budget: int | None, workers: int = 1) -> None:
     """Raise BudgetExceeded unless the pair solves on `grids`, run
     min(workers, len(grids)) at a time, fit in MEMORY_LIMIT bytes, and all
     of them in `budget` cell updates.  Memory is checked first, as the
     harder limit."""
-    costs = [pair_cost(W, f, g) for g in grids]
+    costs = [pair_cost(W, g) for g in grids]
     size, nx = max((peak, g.nx) for (_, peak), g in zip(costs, grids))
     need = size * max(1, min(workers, len(grids)))
     if need > MEMORY_LIMIT:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correctors import effective_potential, identity_report
+from .correctors import _checked_set
 from .errors import DegenerateFit
 from .potential import GammaMode, ScalarSeries, TrigField
 from .pdesolve import (GridSpec, InitialDescriptor, PairNorms, ProblemSpec,
@@ -229,8 +229,8 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     """
     regime = resolve_regime(cfg.k, cfg.gamma_mode, cfg.W,
                             sign_override=cfg.sign_override)
-    ceff = effective_potential(regime, cfg.W)
-    identities = identity_report(cfg.W, regime)
+    cset, identities = _checked_set(cfg.W, regime)
+    ceff = cset.effective
 
     workers = cfg.workers if cfg.workers is not None else default_workers()
     workers = min(workers, len(cfg.epsilons))
@@ -241,8 +241,7 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         jobs.append((eps, grid))
         if cfg.run_richardson:
             jobs.append((eps, grid.refined()))
-    check_cost("sweep", cfg.W, cfg.f, [g for _, g in jobs], cfg.budget,
-               workers)
+    check_cost("sweep", cfg.W, [g for _, g in jobs], cfg.budget, workers)
     norms = _run_jobs(functools.partial(_run_point, cfg, regime, ceff),
                       jobs, workers)
     per_point = len(jobs) // len(grids)

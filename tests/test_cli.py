@@ -5,6 +5,7 @@ the installed console script end to end.
 """
 import csv
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -310,6 +311,42 @@ class TestSolveCommand:
         assert max(diffs) == blob["error_linf_l2"]
         for name in ("solve.json", "checkpoint_norms.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="one core: OpenBLAS runs on one thread "
+                               "whatever its setting, so the outputs "
+                               "could not differ")
+    def test_solve_outputs_do_not_depend_on_the_blas_threads(self,
+                                                             tmp_path):
+        # The 2-D frozen-time solve of the benchmark (eps = 1/8, nx 269,
+        # 72,361 cells), over 16 steps.  One dot product over the whole
+        # grid gave max_l2_eps different last bits on one and two
+        # threads.
+        phase = complex(0.3321514769650979, 0.37373171707777764)
+        modes = [{"m": [1, 0], "n": n, "re": c.real, "im": c.imag}
+                 for n, c in ((0, phase), (1, phase / 2), (-1, phase / 2))]
+        cfg = {"potential": {"d": 2, "modes": modes},
+               "regime": {"k": 0.0},
+               "problem": {"T": 1 / 256,
+                           "g": [{"amp": 1.771150605405849, "j": [1, 1]}]},
+               "grid": {"checkpoints": 8}, "epsilon": 0.125}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "oscpot.cli", "solve",
+                 "--config", str(path), "--out", str(out)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads((out / "solve.json").read_text())[
+                "grid"]["nx"] == 269
+            outputs.append([(out / name).read_bytes()
+                            for name in ("solve.json",
+                                         "checkpoint_norms.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_policy_grid_meets_the_diffusive_cap(self, write_cfg, tmp_path,
                                                  capsys):

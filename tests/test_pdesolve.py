@@ -16,7 +16,7 @@ from oscpot import (BlowUp, BudgetExceeded, GammaMode, GridSpec,
                     resolve_regime, solve_epsilon, solve_homogenized)
 from oscpot import pdesolve
 from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
-                             DIFFUSIVE_DT_DIVISOR, DT_DIVISOR, MEMORY_LIMIT,
+                             DIFFUSIVE_DT_DIVISOR, DT_DIVISOR,
                              POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
                              _conjugate_pairs, _fold,
                              _homogenized_member, _march,
@@ -315,6 +315,24 @@ def test_coefficient_march_matches_physical_space_march(grid, g_modes,
     want = physical_space_march(ceff, f, g, grid)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_limit_goes_to_x_adding_its_modes_in_order():
+    # In 2-D, u in x must be the in-order sum over the modes of their
+    # sine-factor products, bit for bit: a BLAS matrix product is not,
+    # and its bits follow the thread count.
+    grid = GridSpec(2, 30, 1.0 / 128, 0.125, checkpoints=8)
+    g = InitialDescriptor(tuple(InitialTerm(1.0, (j, 9 - j))
+                                for j in range(1, 9)))
+    _, to_x = _homogenized_member(-0.7, F0, g, grid)
+    v = [math.sin(j + 0.5) for j in range(1, 9)]
+    x = grid.axes()[0]
+    unit = (grid.nx + 1) / 2.0
+    want = np.zeros(grid.shape)
+    for c, term in zip(v, g.terms):
+        a, b = (np.sin(r * math.pi * x) / math.sqrt(unit) for r in term.j)
+        want += np.multiply.outer(a * c, b)
+    assert np.array_equal(to_x(v), want)
 
 
 def test_pair_starts_from_identical_snapshots():
@@ -1013,7 +1031,7 @@ def test_pair_memory_estimate_bounds_the_traced_peak():
     # over a short T: the peak does not depend on the number of steps.
     grid = GridSpec(2, 269, 1.0 / 16384, 1.0 / 256, checkpoints=64)
     peak = frozen_pair_peak(grid)
-    estimate = pair_cost(frozen_w(2), F0, grid)[1]
+    estimate = pair_cost(frozen_w(2), grid)[1]
     assert peak <= estimate <= 1.25 * peak
 
 
@@ -1024,7 +1042,7 @@ def test_pair_memory_does_not_grow_with_the_modes_of_g():
     grid = GridSpec(2, 269, 1.0 / 16384, 1.0 / 256, checkpoints=64)
     g = InitialDescriptor(tuple(InitialTerm(1.0, (j, 17 - j))
                                 for j in range(1, 17)))
-    assert frozen_pair_peak(grid, g) <= pair_cost(frozen_w(2), F0, grid)[1]
+    assert frozen_pair_peak(grid, g) <= pair_cost(frozen_w(2), grid)[1]
 
 
 def test_pair_memory_does_not_grow_with_the_source_terms():
@@ -1046,32 +1064,38 @@ def test_pair_memory_does_not_grow_with_the_checkpoints():
     assert abs(peaks[1] - peaks[0]) < 2 * 8 * 128 ** 2
 
 
-def test_cost_gate_counts_updates_and_memory_per_worker():
-    # Grids whose pair needs between 2 and 4 GiB; no grid allocates.
+def test_cost_gate_counts_updates_and_memory_per_worker(monkeypatch):
+    # A grid whose pair fits the memory limit once but not twice; no grid
+    # allocates.  The limit is set between the two prices, so a
+    # re-pricing of pair_cost cannot break the precondition.
     W = frozen_w(2)
     big = GridSpec(2, 4500, 1.0 / 64, 1.5, checkpoints=96)
-    assert 2 * 2 ** 30 < pair_cost(W, F0, big)[1] < MEMORY_LIMIT
+    price = pair_cost(W, big)[1]
+    monkeypatch.setattr(pdesolve, "MEMORY_LIMIT", 3 * price // 2)
+    assert price < pdesolve.MEMORY_LIMIT < 2 * price
     grids = [big, big]
     total = 2 * 2 * big.cell_updates()
-    check_cost("sweep", W, F0, grids, total, workers=1)
+    check_cost("sweep", W, grids, total, workers=1)
     with pytest.raises(BudgetExceeded, match="GiB for nx = 4500 in 2d"):
-        check_cost("sweep", W, F0, grids, total, workers=2)
+        check_cost("sweep", W, grids, total, workers=2)
     with pytest.raises(BudgetExceeded, match="cell updates, budget is"):
-        check_cost("sweep", W, F0, grids, total - 1)
+        check_cost("sweep", W, grids, total - 1)
 
 
-def test_cost_gate_prices_a_certified_point_by_its_larger_pair():
+def test_cost_gate_prices_a_certified_point_by_its_larger_pair(monkeypatch):
     # A point keeps only the norms of its coarse pair while the refined
     # pair runs, so the two pairs together may exceed the limit.  The
-    # extra conjugate pair in W puts the two pairs' sum over the limit.
+    # limit is set between the refined pair's price and the two pairs'
+    # sum, so a re-pricing of pair_cost cannot break the precondition.
     W = frozen_w(2) + TrigField.from_cos(2, (0, 1), 0)
     coarse = GridSpec(2, 2600, 1.0 / 64, 1.0, checkpoints=64)
     fine = coarse.refined()
-    need = [pair_cost(W, F0, g)[1] for g in (coarse, fine)]
-    assert need[1] < MEMORY_LIMIT < sum(need)
-    check_cost("sweep", W, F0, [coarse, fine], None)
+    need = [pair_cost(W, g)[1] for g in (coarse, fine)]
+    monkeypatch.setattr(pdesolve, "MEMORY_LIMIT", need[1] + need[0] // 2)
+    assert need[1] < pdesolve.MEMORY_LIMIT < sum(need)
+    check_cost("sweep", W, [coarse, fine], None)
     with pytest.raises(BudgetExceeded, match="GiB for nx = 5201 in 2d"):
-        check_cost("sweep", W, F0, [coarse, fine] * 2, None, workers=2)
+        check_cost("sweep", W, [coarse, fine] * 2, None, workers=2)
 
 
 def test_cost_gate_has_a_ceiling_without_a_budget():
@@ -1079,7 +1103,7 @@ def test_cost_gate_has_a_ceiling_without_a_budget():
     assert 2 * grid.cell_updates() > CELL_UPDATE_CEILING
     with pytest.raises(BudgetExceeded,
                        match=f"budget is {CELL_UPDATE_CEILING}"):
-        check_cost("solve", DIAG, F0, [grid], None)
+        check_cost("solve", DIAG, [grid], None)
 
 
 @pytest.mark.parametrize("T, dt", [(1e308, 1e-3), (1e-320, 1e-3),

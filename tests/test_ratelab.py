@@ -374,6 +374,28 @@ def test_sweep_point_solves_each_grid_pair_once(monkeypatch):
     assert p0.richardson == refinement_residual(*fresh)
 
 
+def test_sweep_builds_one_corrector_set(monkeypatch):
+    # c_eff and the identity report come from one corrector set; each
+    # build of a set solves chi3 once.
+    import oscpot.correctors as correctors
+    calls = []
+    real = correctors.solve_chi3
+
+    def counting(W):
+        calls.append(W)
+        return real(W)
+
+    monkeypatch.setattr(correctors, "solve_chi3", counting)
+    cfg = cheap_config(workers=1, run_richardson=False)
+    report = run_sweep(cfg)
+    assert len(calls) == 1
+    identities = correctors.identity_report(cfg.W, report.regime)
+    assert report.ceff == correctors.effective_potential(report.regime,
+                                                         cfg.W)
+    assert report.identities_passed == identities.all_passed
+    assert report.identities_max_residual == identities.max_residual
+
+
 def test_pool_gets_the_pair_jobs_longest_first(monkeypatch):
     import oscpot.ratelab as ratelab
     submitted = []
