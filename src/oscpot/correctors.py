@@ -27,7 +27,6 @@ the regime to reproduce it for comparison runs.
 
 build_correctors, effective_potential and identity_report read one
 corrector set, whose builder alone decides which correctors W admits.
-A sweep takes c_eff and the identity report from one build of it.
 """
 
 from __future__ import annotations

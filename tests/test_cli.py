@@ -320,7 +320,7 @@ class TestSolveCommand:
                                                              tmp_path):
         # The 2-D frozen-time solve of the benchmark (eps = 1/8, nx 269,
         # 72,361 cells), over 16 steps.  One dot product over the whole
-        # grid gave max_l2_eps different last bits on one and two
+        # grid would give max_l2_eps different last bits on one and two
         # threads.
         phase = complex(0.3321514769650979, 0.37373171707777764)
         modes = [{"m": [1, 0], "n": n, "re": c.real, "im": c.imag}
