@@ -25,9 +25,8 @@ of the distinct modes of g and f, and the state is its orthonormal
 DST-I coefficient on each of them: the reaction factor is a scalar, the
 CN step a gain per mode, and a source term adds to its own mode.  The
 coefficients keep the discrete L2 norm, so the blow-up guard reads the
-same as in x.  The state goes to x only at a checkpoint: in 2-D through
-the product of the modes' orthonormal sine factors per axis, in 1-D one
-mode at a time, so the limit holds no cell array per mode.
+same as in x.  The state goes to x only at a checkpoint, one mode's sine
+profile at a time, so the limit holds no cell array per mode.
 
 The eps march adds the declarative source the same way: a term's
 profile has the forward DST-I sign * (nx+1)^d at its mode and zero
@@ -55,7 +54,9 @@ which the march keeps the running maxima and applies the blow-up guard,
 so a BlowUp still names the time of the step that tripped it.  The eps
 member steps in place on its state (factor row 2i, CN, row 2i+1); the
 limit steps on floats, with the half-step decays of the whole block from
-one evaluation of the integral of c_eff (`_decays`).  A block holds at
+one evaluation of the integral of c_eff (`_decays`).  The norm after the
+last step of an interval is also the member's norm at that checkpoint,
+so a checkpoint norm never exceeds the running maximum.  A block holds at
 most BLOCK_CELLS cells (steps times grid cells), so its factor arrays
 stay a few hundred KiB; a grid with more cells than that (every 2-D
 policy grid) takes one step per block.  The sine transforms call
@@ -63,8 +64,9 @@ pocketfft's DST-I directly, which skips scipy.fft's argument handling on
 every call.
 
 `solve_pair` marches the eps-problem and its limit in lockstep and
-measures both live states at each checkpoint, so it holds no snapshot
-array; `solve_epsilon` and `solve_homogenized` keep their snapshots.
+takes their distance from the live states at each checkpoint, so it
+holds no snapshot array; `solve_epsilon` and `solve_homogenized` keep
+their snapshots.
 
 Resolution policy for the eps-problem: at least 16 grid points per eps
 (spatial oscillation) and dt no larger than min(eps^k, eps^(gamma+1))/8;
@@ -555,10 +557,10 @@ def _block_steps(grid: GridSpec) -> int:
 
 
 def _march(grid: GridSpec, f: SourceDescriptor, members: Sequence[tuple],
-           checkpoint: Callable) -> list[float]:
+           checkpoint: Callable) -> list[tuple[float, np.ndarray]]:
     """March the members to T in lockstep, one block of steps at a time
-    (see the module docstring); return each member's running maximum of
-    the L2 norm.
+    (see the module docstring); return, per member, the running maximum
+    of its L2 norm and its L2 norm at each checkpoint time.
 
     A member is (u0, l2, block, label), l2 the L2 norm of u0.
     block(u, times, t, sums) advances the state u over every step of a
@@ -567,17 +569,18 @@ def _march(grid: GridSpec, f: SourceDescriptor, members: Sequence[tuple],
     < t_2s (step i runs from times[2i] through times[2i+1] to
     times[2i+2]), t the same times as floats, and sums
     f.amplitude_sums(t), evaluated once per block for every member.
-    checkpoint(i, *states) gets the live states at checkpoint time i, the
-    u0s first.  A norm past BLOWUP_LIMIT (or not finite) is a BlowUp at
-    the end of its step: the first member's is raised once its block is
-    stepped, a later member's when the march ends.  numpy's overflow and
-    NaN warnings are off."""
+    checkpoint(i, *states) gets the live states at checkpoint time i, for
+    i = 1 .. grid.checkpoints.  A norm past BLOWUP_LIMIT (or not finite)
+    is a BlowUp at the end of its step: the first member's is raised once
+    its block is stepped, a later member's when the march ends.  numpy's
+    overflow and NaN warnings are off."""
     half_ld = np.longdouble(grid.interval) / grid.steps_per_interval / 2
     per_block = _block_steps(grid)
     per_interval = grid.steps_per_interval
     states = [u0 for u0, _, _, _ in members]
-    checkpoint(0, *states)
     max_l2 = [l2 for _, l2, _, _ in members]
+    columns = np.empty((len(members), grid.checkpoints + 1))
+    columns[:, 0] = max_l2
     held = None
     with np.errstate(over="ignore", invalid="ignore"):
         for ci in range(grid.checkpoints):
@@ -591,6 +594,7 @@ def _march(grid: GridSpec, f: SourceDescriptor, members: Sequence[tuple],
                 for j, (_, _, block, label) in enumerate(members):
                     states[j], norms = block(states[j], times, t, sums)
                     max_l2[j] = max(max_l2[j], *norms)
+                    columns[j, ci + 1] = norms[-1]
                     if held is None or j == 0:
                         bad = next((i for i, nrm in enumerate(norms)
                                     if not nrm <= BLOWUP_LIMIT), None)
@@ -604,7 +608,7 @@ def _march(grid: GridSpec, f: SourceDescriptor, members: Sequence[tuple],
             checkpoint(ci + 1, *states)
     if held is not None:
         raise held
-    return max_l2
+    return list(zip(max_l2, columns))
 
 
 def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
@@ -664,7 +668,8 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
     f = p.f if source_fn is None else SourceDescriptor()
     member = _epsilon_member(p, grid, enforce_policy, f, source_fn)
     snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
-    [max_l2] = _march(grid, f, [member], snaps.__setitem__)
+    snaps[0] = member[0]
+    [(max_l2, _)] = _march(grid, f, [member], snaps.__setitem__)
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
                       snapshots=snaps, max_l2=max_l2)
 
@@ -719,22 +724,12 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
             norms.append(scale * math.hypot(*v))
         return v, norms
 
-    # In 2-D, u in x is the (nx x modes) by (modes x nx) product of the
-    # modes' orthonormal sine factors per axis, 2 nx numbers per mode.
-    # einsum adds the modes in order; a BLAS product's bits would follow
-    # the thread count.  In 1-D a mode's factor is a cell array, so u is
-    # summed one mode at a time.  Either way the limit holds no cell
-    # array per mode.
-    x = grid.axes()[0]
-    sines = [np.sin(np.multiply.outer(r * math.pi, x)) / math.sqrt(unit)
-             for r in axes] if grid.d == 2 else None
-
     def to_x(v):
-        if grid.d == 2:
-            return np.einsum("ik,kj->ij", sines[0].T * v, sines[1])
-        u = np.zeros(grid.nx)
-        for c, (r,) in zip(v, modes):
-            u += c / unit * np.sin(r * math.pi * x)
+        # One mode's profile at a time, added in order, so the arrays it
+        # holds do not grow with the modes of g and f.
+        u = np.zeros(grid.shape)
+        for c, r in zip(v, modes):
+            u += c / unit * _sine_profile(grid, r)
         return u
 
     return (v0, scale * math.hypot(*v0), block, "homogenized"), to_x
@@ -749,10 +744,9 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
     snaps[0] = g.build(grid)
 
     def keep(i, v):
-        if i:
-            snaps[i] = to_x(v)
+        snaps[i] = to_x(v)
 
-    [max_l2] = _march(grid, f, [member], keep)
+    [(max_l2, _)] = _march(grid, f, [member], keep)
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
                       snapshots=snaps, max_l2=max_l2)
 
@@ -764,25 +758,24 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
 def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
                enforce_policy: bool = True) -> PairNorms:
     """Solve the eps-problem and its homogenized limit on one grid, in one
-    lockstep march, and measure both, and their distance, at every
-    checkpoint."""
-    sums = np.empty((grid.checkpoints + 1, 3))
+    lockstep march: both norms come from the march, and their distance
+    is measured at every checkpoint."""
+    # At t = 0 both states are g, at distance 0.
+    sums = np.zeros(grid.checkpoints + 1)
     # The eps-problem is the first member, so its BlowUp is the one
     # reported when both would blow up.
     eps_member = _epsilon_member(p, grid, enforce_policy, p.f)
     limit, to_x = _homogenized_member(ceff, p.f, p.g, grid)
 
     def measure(i, a, v):
-        # At t = 0 both states are g.
-        b = a if i == 0 else to_x(v)
-        sums[i] = np.sum(a ** 2), np.sum(b ** 2), np.sum((a - b) ** 2)
+        sums[i] = np.sum((a - to_x(v)) ** 2)
 
-    max_l2_eps, max_l2_hom = _march(grid, p.f, [eps_member, limit],
-                                    measure)
-    l2_eps, l2_hom, l2_diff = grid.h ** (grid.d / 2.0) * np.sqrt(sums.T)
+    (max_l2_eps, l2_eps), (max_l2_hom, l2_hom) = _march(
+        grid, p.f, [eps_member, limit], measure)
     return PairNorms(times=grid.checkpoint_times(), l2_eps=l2_eps,
-                     l2_hom=l2_hom, l2_diff=l2_diff, max_l2_eps=max_l2_eps,
-                     max_l2_hom=max_l2_hom)
+                     l2_hom=l2_hom,
+                     l2_diff=grid.h ** (grid.d / 2.0) * np.sqrt(sums),
+                     max_l2_eps=max_l2_eps, max_l2_hom=max_l2_hom)
 
 
 def pair_cost(W: TrigField, grid: GridSpec) -> tuple[int, int]:
@@ -796,21 +789,20 @@ def pair_cost(W: TrigField, grid: GridSpec) -> tuple[int, int]:
     one block is live at a time, since a member's call frees its factors
     before the march builds the next block's; the second prices the
     complex temporaries of building W's rows, where the 2-D benchmark
-    pair peaks (tracemalloc: 13.0 cell arrays against 15 priced, 11.0
+    pair peaks (tracemalloc: 13.0 cell arrays against 15 priced, 11.3
     while it marches).  The source adds no cell array, so the price does
     not read it: a source term adds to one coefficient of each member
-    (`_source_entries`).  The limit holds one number per mode, and in 2-D
-    the modes' sine factors, 2 nx numbers per mode, with nx more while it
-    goes to x (`_homogenized_member`): g adds less than a cell array
-    unless it has nx/3 or more distinct modes.
+    (`_source_entries`).  The limit holds one number per mode and goes
+    to x one mode's profile at a time (`_homogenized_member`), so g adds
+    no cell array.
 
     It prices per-cell arrays only, not Python objects or arrays whose
     size does not grow with the grid, so it is not an upper bound on
     small grids: on a 1-D nx 269 pair (96 checkpoints, one step each, one
-    source term, no potential) tracemalloc reads a peak of 11.9 cell
+    source term, no potential) tracemalloc reads a peak of 12.7 cell
     arrays against the 9 priced here.  The gap is a few KiB, far
     below the scale of the MEMORY_LIMIT gate.  With 11 steps per
-    checkpoint, as on the critical sweep's policy grid, it reads 31.5
+    checkpoint, as on the critical sweep's policy grid, it reads 31.7
     against 49."""
     cells = grid.nx ** grid.d
     per_cell = 5 + 2 * len(_conjugate_pairs(W))
