@@ -26,8 +26,8 @@ import scipy
 
 from . import __version__
 from .correctors import build_correctors, effective_potential, identity_report
-from .errors import (BlowUp, BudgetExceeded, NoApplicableRegime,
-                     ResolutionViolation, UnsupportedK)
+from .errors import (BlowUp, BudgetExceeded, ChainIdentityViolation,
+                     NoApplicableRegime, ResolutionViolation, UnsupportedK)
 from .potential import (GammaMode, TrigField, descriptor_from_field,
                         field_from_descriptor)
 from .pdesolve import (DIFFUSIVE_DT_DIVISOR, MIN_CHECKPOINTS, GridSpec,
@@ -91,13 +91,6 @@ def _number(block: dict, key: str, where: str, *, positive=False,
     if positive and not val > 0:
         raise ConfigError(f"'{_name(where, key)}' must be positive")
     return float(val)
-
-
-def _regime_k(block: dict) -> float:
-    k = _number(block, "k", "regime")
-    if k < 0:
-        raise ConfigError(f"'regime.k' must be >= 0, got {k:g}")
-    return k
 
 
 def _count(block: dict, key: str, where: str, default: int | None,
@@ -200,10 +193,18 @@ def parse_sign_override(block: dict) -> bool:
         f"'regime.sign_override' must be false, true or 'flip', got {raw!r}")
 
 
-def build_regime(cfg: dict, W: TrigField):
+def _regime(cfg: dict) -> tuple[float, GammaMode, bool]:
+    """regime.k, gamma_mode and sign_override, checked in that order."""
     block = cfg["regime"]
-    return resolve_regime(_regime_k(block), parse_gamma_mode(block), W,
-                          sign_override=parse_sign_override(block))
+    k = _number(block, "k", "regime")
+    if k < 0:
+        raise ConfigError(f"'regime.k' must be >= 0, got {k:g}")
+    return k, parse_gamma_mode(block), parse_sign_override(block)
+
+
+def build_regime(cfg: dict, W: TrigField):
+    k, gamma_mode, sign_override = _regime(cfg)
+    return resolve_regime(k, gamma_mode, W, sign_override=sign_override)
 
 
 def _parse_terms(raw, where: str, d: int, *, with_time: bool):
@@ -249,10 +250,7 @@ def build_sweep_config(cfg: dict, W: TrigField, args) -> SweepConfig:
     T, f, g = build_problem(cfg, W.d)
     checkpoints = _count(cfg.get("grid", {}), "checkpoints", "grid",
                          SweepConfig.checkpoints, MIN_CHECKPOINTS)
-    regime_block = cfg["regime"]
-    k = _regime_k(regime_block)
-    gamma_mode = parse_gamma_mode(regime_block)
-    sign_override = parse_sign_override(regime_block)
+    k, gamma_mode, sign_override = _regime(cfg)
     richardson = block.get("richardson", SweepConfig.run_richardson)
     if not isinstance(richardson, bool):
         raise ConfigError(
@@ -509,6 +507,9 @@ def main(argv=None) -> int:
     except (NoApplicableRegime, UnsupportedK) as exc:
         print(f"regime rejection: {exc}", file=sys.stderr)
         return EXIT_REGIME
+    except ChainIdentityViolation as exc:
+        print(f"identity failure: {exc}", file=sys.stderr)
+        return EXIT_IDENTITY
     except (ResolutionViolation, BudgetExceeded, BlowUp,
             OverflowError) as exc:
         print(f"resource violation: {exc}", file=sys.stderr)

@@ -76,8 +76,8 @@ points per eps: the second-difference error on the eps-wavelength
 component scales like (2*pi*h/eps)^2, and 16 points leave ~15% relative
 error on the corrector-sized part of u_eps - u_0, too coarse for the 10%
 refinement certificate used by rate sweeps.  `policy_grid` then rounds
-nx+1 up to the next 5-smooth number (2^a 3^b 5^c): pocketfft computes a
-DST-I of length nx through a real FFT of length 2(nx+1), which is several
+nx+1 up to scipy.fft's `next_fast_len(real=True)`, the next 2^a 3^b 5^c:
+pocketfft's DST-I of length nx is a real FFT of length 2(nx+1), several
 times slower when nx+1 has a large prime factor (nx 256: 257).
 `GridSpec.refined` maps nx+1 to 2(nx+1), so refined policy grids stay
 smooth.  Grids given by the user are taken as they are.
@@ -91,6 +91,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
 from .errors import BlowUp, BudgetExceeded, ResolutionViolation
@@ -231,22 +232,11 @@ def policy_grid(eps: float, k: float, gamma: float, T: float, d: int,
     # First, so that an eps whose 32/eps overflows (eps^2 is then 0) ends here.
     steps = max(1, math.ceil(_step_count(interval, dt_cap)))
     floor = max(8, math.ceil(POINTS_PER_EPS_DEFAULT / eps))
-    nx = _five_smooth_ceil(floor + 1) - 1
+    try:   # it raises ValueError or OverflowError past about 1e18
+        nx = next_fast_len(floor + 1, real=True) - 1
+    except (ValueError, OverflowError):
+        raise BudgetExceeded(f"nx = {floor} is past the longest FFT") from None
     return GridSpec(d, nx, interval / steps, T, checkpoints)
-
-
-def _five_smooth_ceil(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n (n >= 1)."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # p35 times the smallest power of two reaching n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _oscillation_cap(eps: float, k: float, gamma: float) -> float:
@@ -667,9 +657,19 @@ def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
     """
     f = p.f if source_fn is None else SourceDescriptor()
     member = _epsilon_member(p, grid, enforce_policy, f, source_fn)
+    return _trajectory(grid, f, member, member[0], lambda u: u)
+
+
+def _trajectory(grid: GridSpec, f: SourceDescriptor, member: tuple,
+                row0: np.ndarray, to_x: Callable) -> Trajectory:
+    """March `member` alone; snapshot 0 is row0, snapshot i to_x(state)."""
     snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
-    snaps[0] = member[0]
-    [(max_l2, _)] = _march(grid, f, [member], snaps.__setitem__)
+    snaps[0] = row0
+
+    def keep(i, state):
+        snaps[i] = to_x(state)
+
+    [(max_l2, _)] = _march(grid, f, [member], keep)
     return Trajectory(grid=grid, times=grid.checkpoint_times(),
                       snapshots=snaps, max_l2=max_l2)
 
@@ -725,12 +725,10 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
         return v, norms
 
     def to_x(v):
-        # One mode's profile at a time, added in order, so the arrays it
-        # holds do not grow with the modes of g and f.
-        u = np.zeros(grid.shape)
-        for c, r in zip(v, modes):
-            u += c / unit * _sine_profile(grid, r)
-        return u
+        # `InitialDescriptor.build` adds one mode's profile at a time, so
+        # the arrays it holds do not grow with the modes of g and f.
+        return InitialDescriptor(tuple(
+            InitialTerm(c / unit, r) for c, r in zip(v, modes))).build(grid)
 
     return (v0, scale * math.hypot(*v0), block, "homogenized"), to_x
 
@@ -740,15 +738,7 @@ def solve_homogenized(ceff: float | TrigField, f: SourceDescriptor,
     """March the homogenized problem du/dt - Lap u + c_eff u = f on its
     sine modes (see the module docstring); snapshot 0 is g itself."""
     member, to_x = _homogenized_member(ceff, f, g, grid)
-    snaps = np.empty((grid.checkpoints + 1,) + grid.shape)
-    snaps[0] = g.build(grid)
-
-    def keep(i, v):
-        snaps[i] = to_x(v)
-
-    [(max_l2, _)] = _march(grid, f, [member], keep)
-    return Trajectory(grid=grid, times=grid.checkpoint_times(),
-                      snapshots=snaps, max_l2=max_l2)
+    return _trajectory(grid, f, member, g.build(grid), to_x)
 
 
 # ---------------------------------------------------------------------------

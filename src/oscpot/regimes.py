@@ -49,8 +49,8 @@ class RegimeFamily(Enum):
 class RegimeRow:
     """One family of the parameter map.  `assumption` numbers its
     admissibility class (1 strong fast time, 2 subcritical, 3 critical,
-    4 supercritical, 5 k <= 1).  `rejection` may name the full mean of W
-    as {mean}."""
+    4 supercritical, 5 k <= 1).  `rejection` may name W's coefficient of
+    the (0, ..., 0; 0) mode, its full mean, as {mean}."""
 
     family: RegimeFamily
     assumption: int
@@ -63,7 +63,8 @@ class RegimeRow:
 
 
 def _zero_mean(W: TrigField) -> bool:
-    return W.mean_full() == 0.0
+    # Structural, as the correctors need it: the mean mode is absent.
+    return ((0,) * W.d, 0) not in W.coeff_map()
 
 
 def _y_mean_free(W: TrigField) -> bool:
@@ -74,8 +75,8 @@ def _tau_mean_free(W: TrigField) -> bool:
     return W.mean_tau().is_zero()
 
 
-_NEEDS_ZERO_MEAN = ("k > 1 with gamma = 1 requires the full space-time mean "
-                    "of W to vanish, got {mean:.6g}")
+_NEEDS_ZERO_MEAN = ("k > 1 with gamma = 1 requires the constant coefficient "
+                    "of W, its space-time mean, to vanish; got {mean:.6g}")
 _NEEDS_Y_MEAN_FREE = ("k <= 1 requires the y-mean of W to vanish for every "
                       "tau (no m = 0 modes)")
 
@@ -177,7 +178,7 @@ def resolve_regime(k: float, gamma_mode: GammaMode, W: TrigField,
         raise UnsupportedK(
             f"gamma = k - 1 is supported only for 2 < k <= 3, got k = {k}")
     if not row.admissible(W):
-        raise NoApplicableRegime(row.rejection.format(mean=W.mean_full()))
+        raise NoApplicableRegime(row.rejection.format(mean=W.coeff([0] * W.d)))
     depth = None
     if row.family is RegimeFamily.SUBCRITICAL:
         depth = iteration_depth(k)

@@ -499,8 +499,19 @@ def gate_potential(pairs: int) -> dict:
                               for m in ms[:pairs]]}
 
 
+#: A constant mode with only an imaginary part, small enough for the
+#: Hermitian check: the real part of the mean is 0, yet the mode is there.
+IMAGINARY_MEAN = base_config(epsilon=0.125, sweep=SWEEP_BLOCK, potential={
+    "d": 1, "modes": [{"m": [1], "n": -1, "re": 0.5, "im": 0.0},
+                      {"m": [0], "n": 0, "re": 0.0, "im": 1e-13}]})
+#: A subcritical W whose 51-stage chain gathers a tau-mean residual of
+#: 1.4e-10 at stage 15 from rounding alone.
+DEEP_CHAIN = base_config(regime={"k": 1.02}, potential={"d": 1, "modes": [
+    {"m": [0], "n": -1, "re": -12.245363180812689, "im": 8.351455792001063}]})
+
 #: command, config, flags, exit code and stderr prefix of one failure per
-#: failing exit code (three kinds of resource violation).
+#: failing exit code (four kinds of resource violation), and of the
+#: inputs that ended in a traceback before they were mended.
 ONE_LINE_FAILURES = {
     "config": ("verify", base_config(extra_block={}), (), cli.EXIT_CONFIG,
                "config error: unknown key"),
@@ -523,6 +534,16 @@ ONE_LINE_FAILURES = {
         sweep=dict(SWEEP_BLOCK, slope_tolerance=1e-9),
         grid={"checkpoints": 16}), (), cli.EXIT_VERDICT,
         "rate verdict failure: slope"),
+    # 32/eps is past the longest FFT scipy plans.
+    "fft-length": ("solve", base_config(epsilon=1e-18), (),
+                   cli.EXIT_RESOURCE, "resource violation: "),
+    **{f"imaginary-mean-{command}": (
+        command, IMAGINARY_MEAN, (), cli.EXIT_REGIME,
+        "regime rejection: k > 1 with gamma = 1 requires the constant "
+        "coefficient of W, its space-time mean, to vanish; got 0+1e-13j")
+       for command in ("correctors", "verify", "solve", "sweep")},
+    "deep-chain": ("correctors", DEEP_CHAIN, (), cli.EXIT_IDENTITY,
+                   "identity failure: chain stage 15: tau-mean residual"),
 }
 
 

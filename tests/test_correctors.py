@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from oscpot import (RegimeFamily, ScalarSeries, SolvabilityViolation,
-                    TrigField, build_correctors, chi3_chain, chi5_chain,
-                    effective_potential, identity_report, resolve_regime,
-                    solve_chi1, solve_chi2, solve_chi3, solve_chi7)
+from oscpot import (ChainIdentityViolation, RegimeFamily, ScalarSeries,
+                    SolvabilityViolation, TrigField, build_correctors,
+                    chi3_chain, chi5_chain, effective_potential,
+                    identity_report, resolve_regime, solve_chi1, solve_chi2,
+                    solve_chi3, solve_chi7)
 from oscpot.correctors import (grad_pair_mean, mean_product,
                                tensor_trapezoid_mean)
 
@@ -318,6 +319,19 @@ def test_build_correctors_skips_unavailable():
     assert cs.primitives is None           # WMIX has n = 0 modes
     assert cs.chi7 is None
     assert cs.chi3 is not None
+
+
+def test_build_correctors_checks_each_chain_stage(monkeypatch):
+    # Stage 1 is the primitive of W4 plus W4 itself, so stage 2's product
+    # with W4 has the tau-mean M(W4^2) = 1/2, which its check must catch.
+    real = TrigField.antiderivative_tau
+
+    def crooked(self):
+        return real(self) + self if self.d == 0 else real(self)
+    monkeypatch.setattr(TrigField, "antiderivative_tau", crooked)
+    W = TrigField.from_cos(1, [0], 1) + DIAG
+    with pytest.raises(ChainIdentityViolation, match="^chain stage 1: "):
+        build_correctors(W, regime_for("subcritical", W))
 
 
 def test_chi5_chain_runs_once_per_corrector_set(monkeypatch):

@@ -7,7 +7,9 @@ shares no code with the coefficient algebra beyond the mode sum itself.
 """
 
 import bisect
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
@@ -19,10 +21,12 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscpot import (ScalarSeries, TrigField, cli, field_from_descriptor,
-                    iteration_depth, policy_grid)
+from oscpot import (ScalarSeries, TrigField, cli, descriptor_from_field,
+                    field_from_descriptor, iteration_depth, policy_grid)
 from oscpot.correctors import grad_pair_mean, mean_product
 from oscpot.potential import INDEX_LIMIT, _build, _merge, _neg
+
+from conftest import FAMILY_PARAMS, random_admissible
 
 SETTINGS = settings(max_examples=25, deadline=None)
 TWO_PI = 2.0 * math.pi
@@ -435,3 +439,43 @@ def test_any_config_value_ends_in_a_documented_exit_code(path, value):
             code = cli.main([command, "--config", str(cfg_path),
                              "--out", str(Path(tmp) / "out"), *flags])
             assert code in range(6), (command, code)
+
+
+# ---------------------------------------------------------------------------
+# Admission: a potential either passes, is rejected or fails an identity
+# ---------------------------------------------------------------------------
+
+@st.composite
+def admissible_configs(draw):
+    """(modes, regime) of a `random_admissible` W of any family, scaled to
+    coefficients of 1e-2 to 1e3; subcritical k goes down to 1.02."""
+    family = draw(st.sampled_from(list(FAMILY_PARAMS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    W = 10.0 ** draw(st.floats(-2.0, 3.0)) * random_admissible(family, rng)
+    k, gamma_mode = FAMILY_PARAMS[family]
+    if family == "subcritical":
+        k = draw(st.floats(1.02, 2.0, exclude_max=True))
+    return descriptor_from_field(W), {"k": k, "gamma_mode": gamma_mode.value}
+
+
+@SETTINGS
+@given(admissible_configs())
+# Inputs that ended in a traceback before they were mended:
+@example(([{"m": [1], "n": -1, "re": 0.5, "im": 0.0},     # imaginary mean
+            {"m": [0], "n": 0, "re": 0.0, "im": 1e-13}], {"k": 2.0}))
+@example(([{"m": [0], "n": -1, "re": -12.245363180812689,  # deep chain
+            "im": 8.351455792001063}], {"k": 1.02}))
+def test_admission_ends_in_0_2_or_3_with_at_most_one_line(case):
+    modes, regime = case
+    cfg = {"potential": {"modes": modes}, "regime": regime}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for command in ("correctors", "verify"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(cfg_path),
+                                 "--out", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3), (command, code, err.getvalue())
+            assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
