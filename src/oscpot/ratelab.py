@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correctors import _checked_set
+from .correctors import _identities, build_correctors
 from .errors import DegenerateFit
 from .potential import GammaMode, ScalarSeries, TrigField
 from .pdesolve import (GridSpec, InitialDescriptor, PairNorms, ProblemSpec,
@@ -223,14 +223,14 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
     """Execute the sweep and assemble the rate report.
 
     Each pair solve is one job: the policy grid of every eps, and with
-    Richardson on its refinement right after it.  Raises BudgetExceeded
-    from pdesolve.check_cost before any solve; regime or admissibility
-    rejections propagate from resolve_regime.
+    Richardson on its refinement right after it.  Before any solve it
+    raises ChainIdentityViolation at a failing chain stage, BudgetExceeded
+    past the budget and resolve_regime's regime or admissibility errors.
     """
     regime = resolve_regime(cfg.k, cfg.gamma_mode, cfg.W,
                             sign_override=cfg.sign_override)
-    cset, identities = _checked_set(cfg.W, regime)
-    ceff = cset.effective
+    cset = build_correctors(cfg.W, regime)
+    ceff, identities = cset.effective, _identities(cset, cfg.W)
 
     workers = cfg.workers if cfg.workers is not None else default_workers()
     workers = min(workers, len(cfg.epsilons))

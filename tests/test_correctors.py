@@ -18,6 +18,8 @@ from oscpot import (ChainIdentityViolation, RegimeFamily, ScalarSeries,
                     solve_chi3, solve_chi7)
 from oscpot.correctors import (grad_pair_mean, mean_product,
                                tensor_trapezoid_mean)
+from oscpot.pdesolve import InitialDescriptor, InitialTerm, SourceDescriptor
+from oscpot.ratelab import SweepConfig, run_sweep
 
 from conftest import FAMILY_PARAMS, random_admissible
 
@@ -164,6 +166,16 @@ def test_chi3_chain_rejects_nonzero_mean():
         chi3_chain(TrigField.from_cos(1, [0], 1) + TrigField.constant(1, 0.1), 2)
     with pytest.raises(ValueError, match="depth"):
         chi3_chain(DIAG, 0)
+
+
+@pytest.mark.parametrize("solve", [solve_chi1, solve_chi2,
+                                   lambda W: chi3_chain(W, 2)],
+                         ids=["chi1", "chi2", "chain"])
+def test_solver_messages_name_the_complex_mean(solve):
+    # The constant mode is purely imaginary, so its real part reads 0.
+    W = DIAG + TrigField(1, [(([0], 0), 1e-13j)])
+    with pytest.raises(SolvabilityViolation, match=r" 0\+1e-13j$"):
+        solve(W)
 
 
 # -- effective potentials: frozen closed forms ----------------------------
@@ -348,6 +360,29 @@ def test_chi5_chain_runs_once_per_corrector_set(monkeypatch):
     assert len(calls) == 1
     mod.identity_report(STRONG_W, spec)
     assert len(calls) == 2
+
+
+def test_every_reader_builds_the_chain_at_the_regime_depth(monkeypatch):
+    import oscpot.correctors as mod
+    depths = []
+    real = mod.chi3_chain
+
+    def recorded(W, depth):
+        depths.append(depth)
+        return real(W, depth)
+    monkeypatch.setattr(mod, "chi3_chain", recorded)
+    spec = regime_for("subcritical", DIAG)
+    ceffs = [mod.build_correctors(DIAG, spec).effective]
+    mod.identity_report(DIAG, spec)
+    ceffs.append(mod.effective_potential(spec, DIAG))
+    cfg = SweepConfig(
+        W=DIAG, k=1.5, gamma_mode=spec.gamma_mode, f=SourceDescriptor.zero(),
+        g=InitialDescriptor((InitialTerm(1.0, (1,)),)), T=0.125,
+        epsilons=(1 / 4, 1 / 5, 1 / 6, 1 / 8), checkpoints=16,
+        run_richardson=False, workers=1)
+    ceffs.append(run_sweep(cfg).ceff)
+    assert depths == [4] * 4     # chain_depth 3, plus one diagnostic stage
+    assert len(set(ceffs)) == 1 and type(ceffs[0]) is float
 
 
 # -- identity report -------------------------------------------------------

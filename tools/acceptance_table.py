@@ -7,7 +7,9 @@ sweeps from its `tests/test_acceptance.py` (`_sweep` and its potentials),
 so running the same command on two checkouts gives a before/after.  Each
 row is one `run_sweep` with Richardson on, in the order of the gate
 criteria, with its wall time; workers follow OSCPOT_WORKERS (default 1).
-`--points DIR` also writes each sweep's points CSV to DIR/<sweep>.csv.
+`--points DIR` also writes each sweep's points CSV to DIR/<sweep>.csv
+and its report, with c_eff, the regime (chain_depth included) and the
+identity fields the CSV lacks, to DIR/<sweep>.json (`ratelab.write_json`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oscpot import GammaMode  # noqa: E402
-from oscpot.ratelab import points_csv  # noqa: E402
+from oscpot.ratelab import points_csv, write_json  # noqa: E402
 import test_acceptance as acc  # noqa: E402
 
 #: (name, criterion, W, k, gamma mode, T, flipped sign)
@@ -40,7 +42,8 @@ SWEEPS = (
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", type=Path,
-                        help="directory for each sweep's points CSV")
+                        help="directory for each sweep's points CSV "
+                        "and report")
     args = parser.parse_args(argv)
     if args.points:
         args.points.mkdir(parents=True, exist_ok=True)
@@ -56,8 +59,9 @@ def main(argv: list[str] | None = None) -> int:
               f"| {report.fit.slope:.4f} | {report.fit.r2:.4f} "
               f"| {residual:.3g} | {wall:.1f} s |", flush=True)
         if args.points:
-            out = args.points / f"{name.replace(' ', '-')}.csv"
-            out.write_text(points_csv(report))
+            stem = args.points / name.replace(' ', '-')
+            stem.with_suffix(".csv").write_text(points_csv(report))
+            write_json(stem.with_suffix(".json"), report.as_dict())
     return 0
 
 
