@@ -36,7 +36,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ChainIdentityViolation, SolvabilityViolation
-from .potential import TWO_PI, ScalarSeries, TrigField, _build, _check_product
+from .potential import (TWO_PI, ScalarSeries, TrigField, _build_ordered,
+                        _check_product)
 from .regimes import RegimeFamily, RegimeSpec, _tau_mean_free, _zero_mean
 
 #: Relative tolerance for exact-in-principle coefficient identities.
@@ -55,8 +56,8 @@ def solve_chi1(W: TrigField) -> TrigField:
                 f"space-time cell problem needs a zero-mean right-hand side; "
                 f"mean is {c:.6g}")
         denom = TWO_PI * 1j * n + TWO_PI ** 2 * sum(v * v for v in m)
-        entries.append(((m, n), c / denom))
-    return _build(W.d, entries)
+        entries.append((m, n, c / denom))
+    return _build_ordered(W.d, entries)
 
 
 def solve_chi2(W: TrigField) -> TrigField:
@@ -69,8 +70,8 @@ def solve_chi2(W: TrigField) -> TrigField:
             raise SolvabilityViolation(
                 f"Poisson cell problem needs a zero-mean right-hand side; "
                 f"mean of the tau-average is {c:.6g}")
-        entries.append(((m, 0), -c / (TWO_PI ** 2 * sum(v * v for v in m))))
-    return _build(W.d, entries)
+        entries.append((m, 0, -c / (TWO_PI ** 2 * sum(v * v for v in m))))
+    return _build_ordered(W.d, entries)
 
 
 def solve_chi3(W: TrigField) -> TrigField:
@@ -81,8 +82,8 @@ def solve_chi3(W: TrigField) -> TrigField:
     entries = []
     for m, n, c in W.terms:
         if any(m):
-            entries.append(((m, n), -c / (TWO_PI ** 2 * sum(v * v for v in m))))
-    return _build(W.d, entries)
+            entries.append((m, n, -c / (TWO_PI ** 2 * sum(v * v for v in m))))
+    return _build_ordered(W.d, entries)
 
 
 @dataclass(frozen=True)

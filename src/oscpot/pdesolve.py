@@ -36,7 +36,11 @@ amplitude once per full-step time.  A `source_fn` given to
 `solve_epsilon` is summed in x and transformed at every step.  The eps
 march stores each conjugate pair of the real W once, as two real rows,
 so the exponent of a half-step's reaction factor is a real contraction
-of per-pair weights with those rows (`_OscillatedReaction`).
+of per-pair weights with those rows (`_OscillatedReaction`).  The rows,
+and so the factors, live on the axes W varies along, with one cell along
+each other axis, and a factor broadcasts over the grid: a layered 2-D
+W(y1, tau) has factors of nx cells, a W without spatial modes factors of
+one cell.
 
 Block stepping: the march takes the steps of a checkpoint interval in
 blocks.  For each block it computes the long-double half-step boundary
@@ -47,10 +51,12 @@ result does not depend on the blocking: every weight is computed
 elementwise from its own two times, and the contraction is numpy's
 einsum, which adds each cell's products of weights and profile rows one
 after another in profile order, exactly as a factor built for one
-half-step alone does.  A BLAS matrix product would not do: its summation
-order varies with the number of half-steps.  Each member then takes the
-whole block in one call and returns its L2 norm after every step, from
-which the march keeps the running maxima and applies the blow-up guard,
+half-step alone does.  (On rows of one cell einsum would sum along the
+rows instead, out of order, so there the rows are added one at a time.)
+A BLAS matrix product would not do: its summation order varies with the
+number of half-steps.  Each member then takes the whole block in one
+call and returns its L2 norm after every step, from which the march
+keeps the running maxima and applies the blow-up guard,
 so a BlowUp still names the time of the step that tripped it.  The eps
 member steps in place on its state (factor row 2i, CN, row 2i+1); the
 limit steps on floats, with the half-step decays of the whole block from
@@ -59,9 +65,10 @@ last step of an interval is also the member's norm at that checkpoint,
 so a checkpoint norm never exceeds the running maximum.  A block holds at
 most BLOCK_CELLS cells (steps times grid cells), so its factor arrays
 stay a few hundred KiB; a grid with more cells than that (every 2-D
-policy grid) takes one step per block.  The sine transforms call
-pocketfft's DST-I directly, which skips scipy.fft's argument handling on
-every call.
+policy grid) takes one step per block.  The count is of grid cells even
+where W's factors have fewer, as on a layered W.  The sine transforms
+call pocketfft's DST-I directly, which skips scipy.fft's argument
+handling on every call.
 
 `solve_pair` marches the eps-problem and its limit in lockstep and
 takes their distance from the live states at each checkpoint, so it
@@ -473,6 +480,13 @@ def _conjugate_pairs(W: TrigField) -> list[tuple[tuple[int, ...], int,
     return pairs
 
 
+def _reaction_shape(W: TrigField, grid: GridSpec) -> tuple[int, ...]:
+    """nx cells along each axis a on which some mode of W has m_a != 0,
+    and one cell along every other axis."""
+    return tuple(grid.nx if any(m[a] for m, _, _ in W.terms) else 1
+                 for a in range(grid.d))
+
+
 class _OscillatedReaction:
     """Multipliers exp(eps^(-gamma) * int_[ta,tb] W(x/eps, s/eps^k) ds).
 
@@ -486,6 +500,11 @@ class _OscillatedReaction:
     of `profiles`, so that the exponent is the real contraction
         Re(w_n) * row_re - Im(w_n) * row_im
     summed over the pairs.
+
+    The rows, and so the factors, have `shape` (`_reaction_shape`): they
+    keep one line of cells along each axis W does not vary on, and a
+    factor broadcasts over the grid.  A layered 2-D W(y1, tau) has rows
+    of nx cells, and a W without spatial modes rows of one cell.
     """
 
     def __init__(self, W: TrigField, eps: float, k: float, gamma: float,
@@ -496,11 +515,15 @@ class _OscillatedReaction:
         scale = float(eps_ld ** np.longdouble(-gamma))
         ys = [_frac_div(x, eps_ld) for x in grid.mesh()]
         pairs = _conjugate_pairs(W)
-        self.profiles = np.empty((2 * len(pairs), grid.nx ** grid.d))
+        self.shape = _reaction_shape(W, grid)
+        line = tuple(slice(size) for size in self.shape)
+        self.profiles = np.empty((2 * len(pairs), math.prod(self.shape)))
         for p, (m, n, c) in enumerate(pairs):
             phase = sum((mj * y for mj, y in zip(m, ys) if mj),
                         np.zeros(grid.shape))
-            s = (c * np.exp(2j * math.pi * phase)).ravel()
+            # Built on the whole grid, then cut to its line: numpy's
+            # complex product rounds differently with the array length.
+            s = (c * np.exp(2j * math.pi * phase))[line].ravel()
             self.profiles[2 * p] = scale * s.real
             self.profiles[2 * p + 1] = scale * s.imag
         ns = np.array([n for _, n, _ in pairs], dtype=float)
@@ -510,11 +533,10 @@ class _OscillatedReaction:
         self.lift = np.divide(eps_k, self.rate, out=np.zeros_like(ns),
                               where=ns != 0)[:, None]
         self.still = np.flatnonzero(ns == 0)
-        self.shape = grid.shape
 
     def _factors(self, times: np.ndarray) -> np.ndarray:
         """Row j: the multiplier over [times[j], times[j+1]] (long double
-        times), shaped like the grid.
+        times), of `shape`.
 
         With theta = 2 pi n tau, the weights of a pair's rows are
         (Re w_n, -Im w_n) = eps^k/(2 pi n) (sin, cos)(theta) differenced
@@ -531,7 +553,14 @@ class _OscillatedReaction:
         if len(self.still):
             weights[:, self.still, 0] = np.diff(times).astype(float)[:, None]
         rows = weights.reshape(len(times) - 1, len(self.profiles))
-        total = np.einsum("ik,kj->ij", rows, self.profiles)
+        if self.profiles.shape[1] > 1:
+            total = np.einsum("ik,kj->ij", rows, self.profiles)
+        else:
+            # On one cell einsum's sum runs over the rows, and it adds
+            # them out of profile order; add them in order here.
+            total = np.zeros((len(rows), 1))
+            for weight, profile in zip(rows.T, self.profiles):
+                total += weight[:, None] * profile
         return np.exp(total, out=total).reshape((-1,) + self.shape)
 
 
@@ -724,11 +753,19 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
             norms.append(scale * math.hypot(*v))
         return v, norms
 
+    mesh = grid.mesh()
+
     def to_x(v):
-        # `InitialDescriptor.build` adds one mode's profile at a time, so
-        # the arrays it holds do not grow with the modes of g and f.
-        return InitialDescriptor(tuple(
-            InitialTerm(c / unit, r) for c, r in zip(v, modes))).build(grid)
+        # Each mode's `_sine_profile`, from the mesh made once and the
+        # folded index, added in order as `InitialDescriptor.build` adds
+        # them: one profile at a time, so the arrays it holds do not grow
+        # with the modes of g and f.  The profile is an unnamed temporary,
+        # which numpy scales in place on a large grid.
+        out = np.zeros(grid.shape)
+        for c, r in zip(v, modes):
+            out += c / unit * math.prod(np.sin(ri * math.pi * x)
+                                        for ri, x in zip(r, mesh))
+        return out
 
     return (v0, scale * math.hypot(*v0), block, "homogenized"), to_x
 
@@ -771,33 +808,38 @@ def solve_pair(p: ProblemSpec, ceff: float | TrigField, grid: GridSpec, *,
 def pair_cost(W: TrigField, grid: GridSpec) -> tuple[int, int]:
     """(cell updates, peak bytes) of solve_pair on `grid`.  The lockstep
     march keeps no snapshots, so the peak does not depend on the number
-    of checkpoints.  It holds five arrays (the eps march's state, CN gain
-    and solve weight; two for the temporaries of a step or a checkpoint,
-    where the limit's u in x and u_eps - u_hom are both live); two real
-    rows per conjugate pair of W; and two blocks of reaction factors,
-    each one double per cell for each of a step's two half-steps.  Only
+    of checkpoints.  It holds six grid arrays: the eps march's state, CN
+    gain and solve weight, and three temporaries of a checkpoint (the
+    limit's u in x, one mode's sine profile and u_eps - u_hom).  Building
+    a row of W takes fewer, five (a phase and two complex arrays), before
+    the state exists.  On the reaction shape (`_reaction_shape`) it holds
+    two rows per conjugate pair of W and two blocks of reaction factors,
+    each one number per cell for each of a step's two half-steps.  Only
     one block is live at a time, since a member's call frees its factors
-    before the march builds the next block's; the second prices the
-    complex temporaries of building W's rows, where the 2-D benchmark
-    pair peaks (tracemalloc: 13.0 cell arrays against 15 priced, 11.3
-    while it marches).  The source adds no cell array, so the price does
-    not read it: a source term adds to one coefficient of each member
-    (`_source_entries`).  The limit holds one number per mode and goes
-    to x one mode's profile at a time (`_homogenized_member`), so g adds
-    no cell array.
+    before the march builds the next block's; the second covers what a
+    block makes besides its factors (times, pair weights, norms and the
+    limit's per-mode lists), which the count of grid arrays does not see.
+    The 2-D benchmark pair's W is layered, so its rows and factors are nx
+    long (tracemalloc: a peak of 5.28 grid arrays, at a checkpoint,
+    against 6.04 priced; 5.04 while it builds W's rows, 3.17 while it
+    steps).  The source adds no grid array, so the price does not read
+    it: a source term adds to one coefficient of each member
+    (`_source_entries`).  The limit holds one number per mode and goes to
+    x one mode's profile at a time (`_homogenized_member`), so g adds no
+    grid array.
 
     It prices per-cell arrays only, not Python objects or arrays whose
     size does not grow with the grid, so it is not an upper bound on
-    small grids: on a 1-D nx 269 pair (96 checkpoints, one step each, one
-    source term, no potential) tracemalloc reads a peak of 12.7 cell
-    arrays against the 9 priced here.  The gap is a few KiB, far
-    below the scale of the MEMORY_LIMIT gate.  With 11 steps per
-    checkpoint, as on the critical sweep's policy grid, it reads 31.7
-    against 49."""
-    cells = grid.nx ** grid.d
-    per_cell = 5 + 2 * len(_conjugate_pairs(W))
+    small grids: on a 1-D nx 269 pair (96 checkpoints, one step each, g
+    and one source term on one mode each, W = 0) tracemalloc reads a peak
+    of 12.4 cell arrays against the 6.0 priced here.  The gap is a few
+    KiB, far below the scale of the MEMORY_LIMIT gate.  With 11 steps per
+    checkpoint, as on the critical sweep's policy grid, it reads 12.0
+    against 6.2, and with the six-term frozen W 38.1 against 56."""
+    cells = math.prod(_reaction_shape(W, grid))
+    rows = 2 * len(_conjugate_pairs(W)) * cells
     block = 2 * 2 * _block_steps(grid) * cells
-    return 2 * grid.cell_updates(), 8 * (per_cell * cells + block)
+    return 2 * grid.cell_updates(), 8 * (6 * grid.nx ** grid.d + rows + block)
 
 
 def check_cost(command: str, W: TrigField, grids: Sequence[GridSpec],

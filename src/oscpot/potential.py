@@ -72,9 +72,15 @@ def _fill(field: "TrigField", d: int, entries, check: bool) -> "TrigField":
     merged = _merge(entries)
     if check:
         _check_hermitian(merged)
+    return _set_terms(field, d, sorted((k[0], k[1], c)
+                                       for k, c in merged.items()))
+
+
+def _set_terms(field: "TrigField", d: int, terms) -> "TrigField":
+    """Set the frozen fields of a new `field` to d and the (m, n, c)
+    terms, which are in order."""
     object.__setattr__(field, "d", int(d))
-    object.__setattr__(field, "terms",
-                       tuple(sorted((k[0], k[1], c) for k, c in merged.items())))
+    object.__setattr__(field, "terms", tuple(terms))
     return field
 
 
@@ -85,6 +91,17 @@ def _build(d: int, entries, check: bool = False) -> "TrigField":
     constructor parses and validates user input instead.
     """
     return _fill(object.__new__(TrigField), d, entries, check)
+
+
+def _build_ordered(d: int, terms, check: bool = False) -> "TrigField":
+    """`_build` of (m, n, c) terms whose keys are unique and sorted
+    already, as in a scalar multiple, a derivative or a mean of a field's
+    terms: each keeps `_merge`'s 0j + c, which clears -0.0, and a zero
+    coefficient is dropped, with no dict and no sort."""
+    kept = [(m, n, z) for m, n, c in terms if (z := 0j + c) != 0]
+    if check:
+        _check_hermitian({(m, n): c for m, n, c in kept})
+    return _set_terms(object.__new__(TrigField), d, kept)
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,7 @@ class TrigField:
         if d != self.d and self.d != 0:
             raise ValueError(f"cannot lift a field of dimension {self.d} to {d}")
         pad = (0,) * (d - self.d)
-        return _build(d, [((m + pad, n), c) for m, n, c in self.terms])
+        return _build_ordered(d, [(m + pad, n, c) for m, n, c in self.terms])
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -178,7 +195,8 @@ class TrigField:
 
     def __rmul__(self, scalar: float) -> "TrigField":
         if isinstance(scalar, (int, float)):
-            return _build(self.d, [((m, n), scalar * c) for m, n, c in self.terms])
+            return _build_ordered(self.d, [(m, n, scalar * c)
+                                           for m, n, c in self.terms])
         return NotImplemented
 
     def __mul__(self, other) -> "TrigField":
@@ -222,12 +240,9 @@ class TrigField:
         # Parts set one by one keep their bits, signed zeros included.
         coeffs = np.empty(np.count_nonzero(keep), dtype=complex)
         coeffs.real, coeffs.imag = re[keep], im[keep]
-        field = object.__new__(TrigField)
-        object.__setattr__(field, "d", self.d)
-        object.__setattr__(field, "terms", tuple(zip(
+        return _set_terms(object.__new__(TrigField), self.d, zip(
             map(tuple, union[:-1, keep].T.tolist()), union[-1, keep].tolist(),
-            coeffs.tolist())))
-        return field
+            coeffs.tolist()))
 
     # -- evaluation -----------------------------------------------------
 
@@ -287,28 +302,28 @@ class TrigField:
     def mean_y(self) -> "TrigField":
         """Average over y; a function of tau (d = 0)."""
         zero = (0,) * self.d
-        return _build(0, [(((), n), c) for m, n, c in self.terms if m == zero],
-                      check=True)
+        return _build_ordered(0, [((), n, c) for m, n, c in self.terms
+                                  if m == zero], check=True)
 
     def mean_tau(self) -> "TrigField":
         """Average over tau; a function of y (every mode has n = 0)."""
-        return _build(self.d, [((m, 0), c) for m, n, c in self.terms if n == 0],
-                      check=True)
+        return _build_ordered(self.d, [(m, 0, c) for m, n, c in self.terms
+                                       if n == 0], check=True)
 
     # -- calculus -------------------------------------------------------
 
     def grad_y(self) -> tuple["TrigField", ...]:
         out = []
         for axis in range(self.d):
-            entries = [((m, n), TWO_PI * 1j * m[axis] * c)
-                       for m, n, c in self.terms if m[axis]]
-            out.append(_build(self.d, entries))
+            out.append(_build_ordered(self.d, [
+                (m, n, TWO_PI * 1j * m[axis] * c)
+                for m, n, c in self.terms if m[axis]]))
         return tuple(out)
 
     def laplacian_y(self) -> "TrigField":
-        entries = [((m, n), -TWO_PI ** 2 * sum(v * v for v in m) * c)
-                   for m, n, c in self.terms if any(m)]
-        return _build(self.d, entries)
+        return _build_ordered(self.d, [
+            (m, n, -TWO_PI ** 2 * sum(v * v for v in m) * c)
+            for m, n, c in self.terms if any(m)])
 
     def antiderivative_tau(self) -> "TrigField":
         """Primitive in tau vanishing at tau = 0; periodic only when every

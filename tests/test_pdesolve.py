@@ -476,21 +476,43 @@ def mixed_modes(d):
             + TrigField.constant(d, 0.3))
 
 
+def layered(d):
+    """An n = 0 mode on m = (1, 0) and an n != 0 mode on m = (2, 0): in
+    2-D, constant along y2."""
+    rest = (0,) * (d - 1)
+    return (TrigField.from_cos(d, (1,) + rest, 0)
+            + TrigField.from_sin(d, (2,) + rest, -1, 0.5))
+
+
+def pure_tau(d):
+    """Modes in tau alone and a constant: no spatial mode."""
+    zero = (0,) * d
+    return (TrigField.from_cos(d, zero, 1, 0.7)
+            + TrigField.from_sin(d, zero, 3, 0.4) + TrigField.constant(d, 0.3))
+
+
 @FACTOR_GRIDS
-@pytest.mark.parametrize("make_w, pairs", [
-    (mixed_modes, 4), (twelve_pairs, 12), (lambda d: TrigField(d, []), 0),
-], ids=["mixed", "twelve-pairs", "zero"])
-def test_pair_factors_match_the_complex_mode_sum(grid, make_w, pairs):
+@pytest.mark.parametrize("make_w, pairs, varied", [
+    (mixed_modes, 4, 2), (twelve_pairs, 12, 2), (layered, 2, 1),
+    (pure_tau, 3, 0), (lambda d: TrigField(d, []), 0, 0),
+], ids=["mixed", "twelve-pairs", "layered", "pure-tau", "zero"])
+def test_pair_factors_match_the_complex_mode_sum(grid, make_w, pairs, varied):
     W = make_w(grid.d)
     # k = 3 at eps = 1/8: the times reach 120 periods of the potential.
     eps, k, gamma = 0.125, 3.0, 1.0
     reaction = _OscillatedReaction(W, eps, k, gamma, grid)
-    assert reaction.profiles.shape == (2 * pairs, grid.nx ** grid.d)
+    # nx cells along the first `varied` axes, where W varies, and one
+    # along the others, over which the factors broadcast.
+    varied = min(varied, grid.d)
+    shape = (grid.nx,) * varied + (1,) * (grid.d - varied)
+    assert reaction.shape == shape
+    assert reaction.profiles.shape == (2 * pairs, math.prod(shape))
     times = np.longdouble(0.2) + np.arange(31) * np.longdouble(1 / 2048)
     got = reaction._factors(times)
     want = complex_mode_factors(W, eps, k, gamma, grid, times)
-    assert got.shape == (30,) + grid.shape
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert got.shape == (30,) + shape
+    np.testing.assert_allclose(np.broadcast_to(got, (30,) + grid.shape), want,
+                               rtol=1e-12, atol=0)
 
 
 @FACTOR_GRIDS
@@ -755,16 +777,29 @@ def block_grid(d, steps, T):
 SPANNING_1D = block_grid(1, 37, 1.0 / 16)
 
 
-@pytest.mark.parametrize("grid", [
-    SPANNING_1D, block_grid(2, 23, 1.0 / 64),
-], ids=["1d", "2d"])
-def test_block_march_matches_the_per_step_march_bit_for_bit(grid):
+def two_cosines(m):
+    """An n = 0 mode on m and an n != 0 mode on 2m."""
+    return (TrigField.from_cos(len(m), m, 0)
+            + TrigField.from_cos(len(m), tuple(2 * v for v in m), -1, 0.5))
+
+
+@pytest.mark.parametrize("grid, W", [
+    (SPANNING_1D, two_cosines((1,))),
+    (block_grid(2, 23, 1.0 / 64), two_cosines((1, 1))),
+    (block_grid(2, 23, 1.0 / 64), two_cosines((1, 0))),
+    # Complex coefficients, so that no row of the sum is zero, and large
+    # enough that a last-bit change of an exponent shows in its factor.
+    (SPANNING_1D, TrigField(1, [(((0,), 1), 50 - 35j), (((0,), -1), 50 + 35j),
+                                (((0,), 3), 20 + 40j),
+                                (((0,), -3), 20 - 40j)])),
+], ids=["1d", "2d", "2d-layered", "1d-pure-tau"])
+def test_block_march_matches_the_per_step_march_bit_for_bit(grid, W):
     assert spans_blocks(grid)
     d = grid.d
     one = (1,) * d
-    # An n = 0 mode and an n != 0 mode, with a source term.
-    W = (TrigField.from_cos(d, one, 0)
-         + TrigField.from_cos(d, (2,) * d, -1, 0.5))
+    # With a source term.  The per-step march builds its rows on the
+    # whole grid, so the layered and pure-tau cases check the factors
+    # that broadcast over it.
     # k = 3: t/eps^k runs to 32 periods, so the torus reduction matters.
     regime = resolve_regime(3.0, GammaMode.UNIT, W)
     p = ProblemSpec(W=W, eps=0.125, regime=regime,

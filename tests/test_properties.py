@@ -14,6 +14,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscpot import (ScalarSeries, TrigField, cli, descriptor_from_field,
-                    field_from_descriptor, iteration_depth, policy_grid)
+from oscpot import (ScalarSeries, TrigField, cli, correctors,
+                    descriptor_from_field, field_from_descriptor,
+                    iteration_depth, policy_grid, potential)
 from oscpot.correctors import grad_pair_mean, mean_product
 from oscpot.potential import INDEX_LIMIT, _build, _merge, _neg
 
@@ -183,6 +185,33 @@ def test_grad_pair_mean_is_the_per_axis_product_sum(case):
     for ga, gb in zip(a.grad_y(), b.grad_y()):
         want += (ga * gb).mean_full()
     assert grad_pair_mean(a, b).hex() == want.hex()
+
+
+def _bits(field):
+    return [(m, n, c.real.hex(), c.imag.hex()) for m, n, c in field.terms]
+
+
+@SETTINGS
+@given(any_field(), st.sampled_from([-1.0, -0.0, 0.0, 0.5, -3.25]))
+def test_ordered_results_keep_the_bits_of_the_merge(W, scalar):
+    # Results whose keys are unique and in order skip `_merge`'s dict and
+    # sort.  Through `_build` they must come out the same, signed zeros
+    # and dropped zero coefficients included.
+    def results():
+        out = [scalar * W, W.mean_y(), W.mean_tau(), W.laplacian_y(),
+               *W.grad_y(), W.as_field(max(W.d, 1)),
+               correctors.solve_chi3(W)]
+        if not W.mean_full():
+            out += [correctors.solve_chi1(W), correctors.solve_chi2(W)]
+        return [_bits(f) for f in out]
+
+    def merged(d, terms, check=False):
+        return _build(d, [((m, n), c) for m, n, c in terms], check)
+
+    got = results()
+    with mock.patch.object(potential, "_build_ordered", merged), \
+            mock.patch.object(correctors, "_build_ordered", merged):
+        assert results() == got
 
 
 def test_mean_product_keeps_the_product_checks():
