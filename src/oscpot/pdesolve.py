@@ -501,10 +501,8 @@ class _OscillatedReaction:
         Re(w_n) * row_re - Im(w_n) * row_im
     summed over the pairs.
 
-    The rows, and so the factors, have `shape` (`_reaction_shape`): they
-    keep one line of cells along each axis W does not vary on, and a
-    factor broadcasts over the grid.  A layered 2-D W(y1, tau) has rows
-    of nx cells, and a W without spatial modes rows of one cell.
+    The rows, and so the factors, have `shape` (`_reaction_shape`), over
+    which a factor broadcasts to the grid (see the module docstring).
     """
 
     def __init__(self, W: TrigField, eps: float, k: float, gamma: float,
