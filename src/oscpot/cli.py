@@ -389,15 +389,15 @@ def cmd_solve(cfg: dict, args) -> int:
     check_cost("solve", W, [grid], _setting(cfg, args, "budget"))
     out = _outdir(cfg, args)
     cap = diffusive_cap(eps)
-    cap_met = grid.dt_effective <= cap * (1.0 + 1e-9)
+    cap_met = grid.dt <= cap * (1.0 + 1e-9)
     if not cap_met:
-        print(f"warning: dt = {grid.dt_effective:.3e} exceeds the diffusive "
+        print(f"warning: dt = {grid.dt:.3e} exceeds the diffusive "
               f"cap eps^2/{DIFFUSIVE_DT_DIVISOR} = {cap:.3e}; the eps-scale "
               f"relaxation is under-resolved", file=sys.stderr)
     ceff = effective_potential(regime, W)
     problem = ProblemSpec(W=W, eps=eps, regime=regime, f=f, g=g)
     norms = solve_pair(problem, ceff, grid)
-    grid_info = {"nx": grid.nx, "dt": grid.dt_effective, "T": grid.T,
+    grid_info = {"nx": grid.nx, "dt": grid.dt, "T": grid.T,
                  "checkpoints": grid.checkpoints}
     write_json(out / "solve.json", {
         "eps": eps,

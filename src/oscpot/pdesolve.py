@@ -140,8 +140,9 @@ class GridSpec:
     """Uniform space-time discretization of (0,1)^d x (0,T].
 
     nx interior points per axis (spacing h = 1/(nx+1)); `checkpoints`
-    equispaced snapshot times; dt must divide the checkpoint interval to
-    within one part in 1e6 and is nudged to divide it exactly.
+    equispaced snapshot times; the dt given must divide the checkpoint
+    interval to within one part in 1e6, and `dt` holds the step that
+    divides it exactly, the one every solver marches.
     """
 
     d: int
@@ -168,6 +169,7 @@ class GridSpec:
             raise ValueError(
                 f"dt = {self.dt} does not divide the checkpoint interval "
                 f"{interval} to within 1e-6")
+        object.__setattr__(self, "dt", interval / steps)
 
     @property
     def h(self) -> float:
@@ -180,11 +182,6 @@ class GridSpec:
     @property
     def steps_per_interval(self) -> int:
         return round(self.interval / self.dt)
-
-    @property
-    def dt_effective(self) -> float:
-        """dt nudged so that steps land exactly on checkpoints."""
-        return self.interval / self.steps_per_interval
 
     @property
     def total_steps(self) -> int:
@@ -209,7 +206,7 @@ class GridSpec:
 
     def refined(self) -> "GridSpec":
         """Halve both mesh sizes (nested: nx+1 -> 2(nx+1), dt -> dt/2)."""
-        return GridSpec(self.d, 2 * self.nx + 1, self.dt_effective / 2.0,
+        return GridSpec(self.d, 2 * self.nx + 1, self.dt / 2.0,
                         self.T, self.checkpoints)
 
     def checkpoint_times(self) -> np.ndarray:
@@ -264,9 +261,9 @@ def check_resolution(grid: GridSpec, eps: float, k: float, gamma: float) -> None
             f"nx = {grid.nx} < {POINTS_PER_EPS}/eps = {POINTS_PER_EPS / eps:.1f}; "
             f"spatial oscillation unresolved")
     dt_cap = _oscillation_cap(eps, k, gamma)
-    if grid.dt_effective > dt_cap * slack:
+    if grid.dt > dt_cap * slack:
         raise ResolutionViolation(
-            f"dt = {grid.dt_effective:.3e} exceeds policy cap {dt_cap:.3e} "
+            f"dt = {grid.dt:.3e} exceeds policy cap {dt_cap:.3e} "
             f"= min(eps^k, eps^(gamma+1))/{DT_DIVISOR}")
 
 
@@ -444,7 +441,7 @@ def _cn_weights(grid: GridSpec, modes) -> tuple[np.ndarray, np.ndarray]:
     h = grid.h
     lam = sum(-(4.0 / h ** 2) * np.sin(r * math.pi * h / 2.0) ** 2
               for r in modes)
-    z = 0.5 * grid.dt_effective * lam
+    z = 0.5 * grid.dt * lam
     return (1.0 + z) / (1.0 - z), 1.0 / (1.0 - z)
 
 
@@ -459,7 +456,7 @@ def _source_entries(f: SourceDescriptor, grid: GridSpec, weight,
         if sign:
             k = place(r)
             entries.append((n, k, sign * unit * weight[k] * 0.5
-                            * grid.dt_effective))
+                            * grid.dt))
     return entries
 
 
@@ -514,14 +511,11 @@ class _OscillatedReaction:
         ys = [_frac_div(x, eps_ld) for x in grid.mesh()]
         pairs = _conjugate_pairs(W)
         self.shape = _reaction_shape(W, grid)
-        line = tuple(slice(size) for size in self.shape)
         self.profiles = np.empty((2 * len(pairs), math.prod(self.shape)))
         for p, (m, n, c) in enumerate(pairs):
             phase = sum((mj * y for mj, y in zip(m, ys) if mj),
-                        np.zeros(grid.shape))
-            # Built on the whole grid, then cut to its line: numpy's
-            # complex product rounds differently with the array length.
-            s = (c * np.exp(2j * math.pi * phase))[line].ravel()
+                        np.zeros(self.shape))
+            s = (c * np.exp(2j * math.pi * phase)).ravel()
             self.profiles[2 * p] = scale * s.real
             self.profiles[2 * p + 1] = scale * s.imag
         ns = np.array([n for _, n, _ in pairs], dtype=float)
@@ -659,7 +653,7 @@ def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
             u *= gain
             if source_fn is not None:
                 f_sum = source_fn(t[2 * i]) + source_fn(t[2 * i + 2])
-                u += weight * _dst(0.5 * grid.dt_effective * f_sum, 0)
+                u += weight * _dst(0.5 * grid.dt * f_sum, 0)
             for n, k, s_hat in sources:
                 u[k] += sums[n][i] * s_hat
             _dst(u, 2, u)
@@ -808,23 +802,22 @@ def pair_cost(W: TrigField, grid: GridSpec) -> tuple[int, int]:
     march keeps no snapshots, so the peak does not depend on the number
     of checkpoints.  It holds six grid arrays: the eps march's state, CN
     gain and solve weight, and three temporaries of a checkpoint (the
-    limit's u in x, one mode's sine profile and u_eps - u_hom).  Building
-    a row of W takes fewer, five (a phase and two complex arrays), before
-    the state exists.  On the reaction shape (`_reaction_shape`) it holds
-    two rows per conjugate pair of W and two blocks of reaction factors,
-    each one number per cell for each of a step's two half-steps.  Only
-    one block is live at a time, since a member's call frees its factors
-    before the march builds the next block's; the second covers what a
-    block makes besides its factors (times, pair weights, norms and the
-    limit's per-mode lists), which the count of grid arrays does not see.
-    The 2-D benchmark pair's W is layered, so its rows and factors are nx
-    long (tracemalloc: a peak of 5.28 grid arrays, at a checkpoint,
-    against 6.04 priced; 5.04 while it builds W's rows, 3.17 while it
-    steps).  The source adds no grid array, so the price does not read
-    it: a source term adds to one coefficient of each member
-    (`_source_entries`).  The limit holds one number per mode and goes to
-    x one mode's profile at a time (`_homogenized_member`), so g adds no
-    grid array.
+    limit's u in x, one mode's sine profile and u_eps - u_hom).  On the
+    reaction shape (`_reaction_shape`) it holds two rows per conjugate
+    pair of W, each built on that shape, and two blocks of reaction
+    factors, each one number per cell for each of a step's two
+    half-steps.  Only one block is live at a time, since a member's call
+    frees its factors before the march builds the next block's; the
+    second covers what a block makes besides its factors (times, pair
+    weights, norms and the limit's per-mode lists), which the count of
+    grid arrays does not see.  The 2-D benchmark pair's W is layered, so
+    its rows and factors are nx long (tracemalloc: a peak of 5.28 grid
+    arrays, at a checkpoint, against 6.04 priced; 0.06 while it builds
+    W's rows, 3.16 while it steps).  The source adds no grid array, so
+    the price does not read it: a source term adds to one coefficient of
+    each member (`_source_entries`).  The limit holds one number per mode
+    and goes to x one mode's profile at a time (`_homogenized_member`),
+    so g adds no grid array.
 
     It prices per-cell arrays only, not Python objects or arrays whose
     size does not grow with the grid, so it is not an upper bound on

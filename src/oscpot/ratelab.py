@@ -253,7 +253,7 @@ def run_sweep(cfg: SweepConfig) -> RateReport:
         points.append(SweepPoint(
             eps=eps, error=coarse.error, richardson=rich,
             max_l2_eps=coarse.max_l2_eps, max_l2_hom=coarse.max_l2_hom,
-            nx=grid.nx, dt=grid.dt_effective, steps=grid.total_steps,
+            nx=grid.nx, dt=grid.dt, steps=grid.total_steps,
             cells=grid.cell_updates()))
 
     reasons: list[str] = []

@@ -21,7 +21,8 @@ from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
                              POINTS_PER_EPS, POINTS_PER_EPS_DEFAULT,
                              _conjugate_pairs, _fold,
                              _homogenized_member, _march,
-                             _OscillatedReaction, _dst, _sine_profile,
+                             _OscillatedReaction, _dst, _reaction_shape,
+                             _sine_profile,
                              check_cost, check_resolution, pair_cost,
                              refinement_residual, solve_pair)
 
@@ -62,20 +63,26 @@ def test_gridspec_derived_quantities():
     assert g.h == pytest.approx(1.0 / 32)
     assert g.interval == pytest.approx(1.0 / 16)
     assert g.steps_per_interval == 8
-    assert g.dt_effective == pytest.approx(1.0 / 128)
+    assert g.dt == pytest.approx(1.0 / 128)
     assert g.total_steps == 64
     assert g.shape == (31,)
     assert g.cell_updates() == 31 * 64
     times = g.checkpoint_times()
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.5)
     assert len(times) == 9
+    # A dt off by 1e-7 relative is taken, and the grid marches the step
+    # that divides the interval exactly.
+    g = GridSpec(1, 31, (1 + 1e-7) / 128, 0.5, checkpoints=8)
+    assert g.steps_per_interval == 8
+    assert g.dt == g.interval / g.steps_per_interval
+    assert g.refined().dt == g.dt / 2
 
 
 def test_gridspec_refinement_is_nested():
     g = GridSpec(1, 16, 1.0 / 64, 0.5, checkpoints=8)
     r = g.refined()
     assert r.nx == 33
-    assert r.dt_effective == pytest.approx(g.dt_effective / 2)
+    assert r.dt == pytest.approx(g.dt / 2)
     # every coarse node appears among the fine nodes
     xc = g.axes()[0]
     xf = r.axes()[0]
@@ -95,7 +102,7 @@ def test_policy_grid_resolution():
     assert g.nx >= POINTS_PER_EPS_DEFAULT / eps
     cap = min(min(eps ** k, eps ** (gamma + 1)) / DT_DIVISOR,
               eps ** 2 / DIFFUSIVE_DT_DIVISOR)
-    assert g.dt_effective <= cap * (1 + 1e-9)
+    assert g.dt <= cap * (1 + 1e-9)
     check_resolution(g, eps, k, gamma)      # does not raise
 
 
@@ -248,8 +255,8 @@ def test_frozen_series_reaction_uses_closed_form_integral():
         return math.exp(-phase) * np.sin(np.pi * x) * _cn_decay(lam1, grid, t)
 
     def _cn_decay(lam, grid, t):
-        steps = round(t / grid.dt_effective)
-        z = 0.5 * grid.dt_effective * lam
+        steps = round(t / grid.dt)
+        z = 0.5 * grid.dt * lam
         return ((1 + z) / (1 - z)) ** steps
 
     assert l2_error_vs(traj, exact) <= 1e-10
@@ -260,7 +267,7 @@ def test_frozen_series_reaction_uses_closed_form_integral():
 def physical_space_march(ceff, f, g, grid):
     """The homogenized Strang/CN scheme stepped in x: transform, multiply
     and transform back at every step."""
-    h, dt = grid.h, grid.dt_effective
+    h, dt = grid.h, grid.dt
     lam1 = -(4.0 / h ** 2) * np.sin(np.arange(1, grid.nx + 1)
                                     * math.pi * h / 2.0) ** 2
     lam = lam1 if grid.d == 1 else lam1[:, None] + lam1[None, :]
@@ -681,33 +688,64 @@ def test_known_separation_is_measured():
                                * norms.l2_eps, rtol=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k, mode", [(2.0, GammaMode.UNIT),
+                                     (2.5, GammaMode.K_MINUS_1)],
+                         ids=["critical", "strong"])
+def test_pair_errors_of_a_pure_tau_potential_have_a_closed_form(d, k, mode):
+    # W = cos 2 pi tau commutes with the Laplacian, and c_eff = 0, so
+    # u_eps(t) = e^I(t) u_hom(t) with I(t) = eps^(k-gamma) sin(2 pi
+    # t/eps^k)/(2 pi): its reaction factor is exact and one cell wide,
+    # and u_hom is CN's heat flow in both marches.  T = 0.3 puts no eps of
+    # the ladder's checkpoints all on zeros of the sine.
+    W = TrigField.from_cos(d, (0,) * d, 1)
+    regime = resolve_regime(k, mode, W)
+    ceff = effective_potential(regime, W)
+    assert ceff == 0.0
+    g = InitialDescriptor((InitialTerm(1.0, (1,) * d),
+                           InitialTerm(0.3, (3,) * d)))
+    grid = GridSpec(d, 15, 0.3 / 24, 0.3, checkpoints=8)
+    for eps in (1 / 4, 1 / 6, 1 / 8):
+        p = ProblemSpec(W=W, eps=eps, regime=regime, f=F0, g=g)
+        norms = solve_pair(p, ceff, grid, enforce_policy=False)
+        amp = eps ** (k - regime.gamma) / (2 * math.pi)
+        phase = amp * np.sin(2 * math.pi * norms.times / eps ** k)
+        assert np.max(np.abs(phase)) > 0.5 * amp
+        for column, want in ((norms.l2_diff, np.abs(np.expm1(phase))),
+                             (norms.l2_eps, np.exp(phase))):
+            np.testing.assert_allclose(column, want * norms.l2_hom, rtol=0,
+                                       atol=1e-10 * column.max())
+
+
 # -- guards ----------------------------------------------------------------
 
 # -- block stepping ---------------------------------------------------------
 
 def per_step_march(p, grid):
     """The eps march one step at a time: each half-step's reaction factor
-    built alone, as the k-ordered sum of real pair rows times their
-    weights, the sine transforms through scipy.fft and each source term
-    added to the one sine coefficient of its mode.  Returns the snapshots
-    and the running norm maximum, or raises BlowUp."""
+    built alone on the reaction shape, as the k-ordered sum of real pair
+    rows times their weights, the sine transforms through scipy.fft and
+    each source term added to the one sine coefficient of its mode.
+    Returns the snapshots and the running norm maximum, or raises
+    BlowUp."""
     eps_ld = np.longdouble(p.eps)
     eps_k_ld = eps_ld ** np.longdouble(p.regime.k)
     eps_k = float(eps_k_ld)
     scale = float(eps_ld ** np.longdouble(-p.regime.gamma))
     ys = [np.remainder(np.asarray(x, dtype=np.longdouble) / eps_ld, 1.0)
           .astype(float) for x in grid.mesh()]
+    shape = _reaction_shape(p.W, grid)
     rows = []
     for m, n, c in _conjugate_pairs(p.W):
         s = c * np.exp(2j * math.pi * sum(
-            (mj * y for mj, y in zip(m, ys) if mj), np.zeros(grid.shape)))
+            (mj * y for mj, y in zip(m, ys) if mj), np.zeros(shape)))
         rows.append((n, scale * s.real, scale * s.imag))
 
     def tau(t):
         return np.float64(np.remainder(t / eps_k_ld, np.longdouble(1.0)))
 
     def factor(ta, tb):
-        total = np.zeros(grid.shape)
+        total = np.zeros(shape)
         for n, re, im in rows:
             if n == 0:
                 w_re, w_im = np.float64(tb - ta), 0.0
@@ -721,7 +759,7 @@ def per_step_march(p, grid):
             total = total + w_im * im
         return np.exp(total)
 
-    h, dt = grid.h, grid.dt_effective
+    h, dt = grid.h, grid.dt
     lam1 = -(4.0 / h ** 2) * np.sin(np.arange(1, grid.nx + 1)
                                     * math.pi * h / 2.0) ** 2
     lam = lam1 if grid.d == 1 else lam1[:, None] + lam1[None, :]
@@ -798,8 +836,8 @@ def test_block_march_matches_the_per_step_march_bit_for_bit(grid, W):
     d = grid.d
     one = (1,) * d
     # With a source term.  The per-step march builds its rows on the
-    # whole grid, so the layered and pure-tau cases check the factors
-    # that broadcast over it.
+    # reaction shape too and broadcasts each factor over the grid, so the
+    # march differs from it only in the blocking.
     # k = 3: t/eps^k runs to 32 periods, so the torus reduction matters.
     regime = resolve_regime(3.0, GammaMode.UNIT, W)
     p = ProblemSpec(W=W, eps=0.125, regime=regime,
@@ -828,7 +866,7 @@ def test_blowup_inside_a_block_reports_the_per_step_time():
     # The step that tripped the guard is neither the first nor the last of
     # its block.
     per_block = BLOCK_CELLS // grid.nx
-    i = round(float(t) / grid.dt_effective) - 1
+    i = round(float(t) / grid.dt) - 1
     assert 0 < i % grid.steps_per_interval % per_block < per_block - 1
 
 
@@ -872,7 +910,7 @@ def per_step_limit(ceff, f, g, grid):
     term's trapezoidal amplitude sum times its s_hat.  Returns the
     coefficients at each checkpoint and the running norm maximum, or
     raises BlowUp."""
-    h, dt = grid.h, grid.dt_effective
+    h, dt = grid.h, grid.dt
     lam1 = -(4.0 / h ** 2) * np.sin(np.arange(1, grid.nx + 1)
                                     * math.pi * h / 2.0) ** 2
     modes = list(dict.fromkeys([t.j for t in g.terms + f.terms]))
@@ -951,7 +989,7 @@ def test_limit_blowup_in_a_pair_is_raised_at_the_end_with_its_step_time(
     # The step that tripped the guard is neither the first nor the last of
     # its block, and it is not in the last checkpoint interval.
     per_block = BLOCK_CELLS // grid.nx
-    i = round(float(t) / grid.dt_effective) - 1
+    i = round(float(t) / grid.dt) - 1
     assert 0 < i % grid.steps_per_interval % per_block < per_block - 1
     assert i < grid.total_steps - grid.steps_per_interval
     seen = []

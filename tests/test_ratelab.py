@@ -179,7 +179,7 @@ class TestRunSweep:
         for p in cheap_report.points:
             grid = policy_grid(p.eps, 2.0, 1.0, cfg.T, 1, cfg.checkpoints)
             assert p.nx == grid.nx
-            assert p.dt == grid.dt_effective
+            assert p.dt == grid.dt
             assert p.steps == grid.total_steps
             assert p.cells == grid.cell_updates()
 
