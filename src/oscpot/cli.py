@@ -34,8 +34,8 @@ from .pdesolve import (DIFFUSIVE_DT_DIVISOR, MIN_CHECKPOINTS, GridSpec,
                        InitialDescriptor, InitialTerm, ProblemSpec,
                        SourceDescriptor, SourceTerm, check_cost,
                        diffusive_cap, policy_grid, solve_pair)
-from .ratelab import (SweepConfig, ceff_as_json, default_workers, run_sweep,
-                      write_json, write_outputs)
+from .ratelab import (SweepConfig, _fmt, ceff_as_json, default_workers,
+                      run_sweep, write_json, write_outputs)
 from .regimes import resolve_regime
 
 EXIT_OK = 0
@@ -411,7 +411,7 @@ def cmd_solve(cfg: dict, args) -> int:
     })
     lines = ["t,l2_eps,l2_hom,l2_diff\n"]
     for row in zip(norms.times, norms.l2_eps, norms.l2_hom, norms.l2_diff):
-        lines.append(",".join(repr(float(v)) for v in row) + "\n")
+        lines.append(",".join(_fmt(v) for v in row) + "\n")
     (out / "checkpoint_norms.csv").write_text("".join(lines))
     write_json(out / "manifest.json", _manifest("solve", W, {
         "regime": regime.as_dict(),
@@ -503,6 +503,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:   # past load_config and _outdir, an output
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoApplicableRegime, UnsupportedK) as exc:
         print(f"regime rejection: {exc}", file=sys.stderr)

@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import ChainIdentityViolation, SolvabilityViolation
 from .potential import (TWO_PI, ScalarSeries, TrigField, _build_ordered,
-                        _check_product)
-from .regimes import RegimeFamily, RegimeSpec, _tau_mean_free, _zero_mean
+                        _check_product, _neg)
+from .regimes import RegimeSpec, _tau_mean_free, _zero_mean
 
 #: Relative tolerance for exact-in-principle coefficient identities.
 COEFF_TOL = 1e-12
@@ -176,7 +176,7 @@ def mean_product(a: TrigField, b: TrigField) -> float:
     where the product does.
     """
     _check_product(a, b)
-    partner = {(tuple(-v for v in m), -n): c for m, n, c in b.terms}
+    partner = {_neg((m, n)): c for m, n, c in b.terms}
     total = 0j
     for m, n, c in a.terms:
         other = partner.get((m, n))
@@ -230,24 +230,22 @@ def build_correctors(W: TrigField, regime: RegimeSpec) -> CorrectorSet:
     M(W) = 0, which holds in every admissible regime; the chain runs one
     stage past the regime's chain_depth as a diagnostic, else two.  The
     chi5 family and chi7 need all n = 0 modes absent, the strong
-    fast-time condition, which can hold incidentally elsewhere."""
+    fast-time condition, which can hold incidentally elsewhere.  c_eff
+    comes from the corrector the regime names (`regime.corrector`)."""
     depth = 2 if regime.chain_depth is None else regime.chain_depth + 1
     zero_mean = _zero_mean(W)
     chi1 = solve_chi1(W) if zero_mean else None
     chi2 = solve_chi2(W) if zero_mean else None
     chi3 = solve_chi3(W)
     prim = chi5_chain(W) if _tau_mean_free(W) else None
-    fam = regime.family
-    if fam is RegimeFamily.CRITICAL:
-        value: float | TrigField = -mean_product(chi1, W)
-    elif fam is RegimeFamily.SUPERCRITICAL:
-        value = mean_product(chi2, W)
-    elif fam in (RegimeFamily.SUBCRITICAL, RegimeFamily.SLOW_TIME):
-        value = mean_product(chi3, W)
-    elif fam is RegimeFamily.FROZEN_TIME:
+    if regime.corrector == "chi4":
+        value: float | TrigField = grad_pair_mean(prim.chi4, W)
+    elif regime.time_dependent_limit:   # chi3 at each frozen tau
         value = (chi3 * W).mean_y()
-    else:  # STRONG_FAST_TIME
-        value = grad_pair_mean(prim.chi4, W)
+    elif regime.corrector == "chi1":
+        value = -mean_product(chi1, W)
+    else:
+        value = mean_product(chi2 if regime.corrector == "chi2" else chi3, W)
     if regime.sign_override:
         value = -1.0 * value
     if isinstance(value, TrigField):

@@ -25,8 +25,8 @@ of the distinct modes of g and f, and the state is its orthonormal
 DST-I coefficient on each of them: the reaction factor is a scalar, the
 CN step a gain per mode, and a source term adds to its own mode.  The
 coefficients keep the discrete L2 norm, so the blow-up guard reads the
-same as in x.  The state goes to x only at a checkpoint, one mode's sine
-profile at a time, so the limit holds no cell array per mode.
+same as in x.  The state goes to x only at a checkpoint, by the sine sum
+that also builds g (`_sine_sum`), so the limit holds no cell array per mode.
 
 The eps march adds the declarative source the same way: a term's
 profile has the forward DST-I sign * (nx+1)^d at its mode and zero
@@ -102,7 +102,7 @@ from scipy.fft import next_fast_len
 from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
 from .errors import BlowUp, BudgetExceeded, ResolutionViolation
-from .potential import ScalarSeries, TrigField, _frac_div
+from .potential import ScalarSeries, TrigField, _frac_div, _neg
 from .regimes import RegimeSpec
 
 BLOWUP_LIMIT = 1e12
@@ -316,10 +316,9 @@ class InitialDescriptor:
     terms: tuple[InitialTerm, ...] = ()
 
     def build(self, grid: GridSpec) -> np.ndarray:
-        out = np.zeros(grid.shape)
-        for term in self.terms:
-            out += term.amp * _sine_profile(grid, term.j)
-        return out
+        folds = [(_fold(grid, term.j), term.amp) for term in self.terms]
+        return _sine_sum(grid.mesh(), [(r, sign * amp)
+                                       for (r, sign), amp in folds if sign])
 
 
 def _fold(grid: GridSpec, j: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -344,12 +343,14 @@ def _fold(grid: GridSpec, j: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(r), sign
 
 
-def _sine_profile(grid: GridSpec, j: Sequence[int]) -> np.ndarray:
-    """prod_i sin(j_i pi x_i) on the grid, evaluated at the folded index."""
-    r, sign = _fold(grid, j)
-    out = float(sign)
-    for ri, x in zip(r, grid.mesh()):
-        out = out * np.sin(ri * math.pi * x)
+def _sine_sum(mesh: Sequence[np.ndarray], terms) -> np.ndarray:
+    """sum of c * prod_i sin(r_i pi x_i) over the (r, c) of terms on the
+    open mesh (`GridSpec.mesh`), added in order one profile at a time: an
+    unnamed temporary, which numpy scales in place on a large grid."""
+    out = np.zeros(tuple(x.size for x in mesh))
+    for r, c in terms:
+        out += c * math.prod(np.sin(ri * math.pi * x)
+                             for ri, x in zip(r, mesh))
     return out
 
 
@@ -469,7 +470,7 @@ def _conjugate_pairs(W: TrigField) -> list[tuple[tuple[int, ...], int,
     coeff = W.coeff_map()
     pairs = []
     for m, n, c in W.terms:
-        partner = (tuple(-v for v in m), -n)
+        partner = _neg((m, n))
         if (m, n) > partner:
             pairs.append((m, n, c + coeff[partner].conjugate()))
         elif (m, n) == partner:
@@ -582,9 +583,9 @@ def _march(grid: GridSpec, f: SourceDescriptor, members: Sequence[tuple],
     f.amplitude_sums(t), evaluated once per block for every member.
     checkpoint(i, *states) gets the live states at checkpoint time i, for
     i = 1 .. grid.checkpoints.  A norm past BLOWUP_LIMIT (or not finite)
-    is a BlowUp at the end of its step: the first member's is raised once
-    its block is stepped, a later member's when the march ends.  numpy's
-    overflow and NaN warnings are off."""
+    is a BlowUp at t = 0, before any step, or at the end of its step: the
+    first member's is raised once its block is stepped, a later member's
+    when the march ends.  numpy's overflow and NaN warnings are off."""
     half_ld = np.longdouble(grid.interval) / grid.steps_per_interval / 2
     per_block = _block_steps(grid)
     per_interval = grid.steps_per_interval
@@ -592,6 +593,9 @@ def _march(grid: GridSpec, f: SourceDescriptor, members: Sequence[tuple],
     max_l2 = [l2 for _, l2, _, _ in members]
     columns = np.empty((len(members), grid.checkpoints + 1))
     columns[:, 0] = max_l2
+    for _, l2, _, label in members:
+        if not l2 <= BLOWUP_LIMIT:
+            raise _blowup(label, l2, 0.0)
     held = None
     with np.errstate(over="ignore", invalid="ignore"):
         for ci in range(grid.checkpoints):
@@ -610,16 +614,18 @@ def _march(grid: GridSpec, f: SourceDescriptor, members: Sequence[tuple],
                         bad = next((i for i, nrm in enumerate(norms)
                                     if not nrm <= BLOWUP_LIMIT), None)
                         if bad is not None:
-                            held = BlowUp(
-                                f"{label}: L2 norm {norms[bad]:.3e} at t = "
-                                f"{t[2 * bad + 2]:.6g} exceeds "
-                                f"{BLOWUP_LIMIT:.0e}")
+                            held = _blowup(label, norms[bad], t[2 * bad + 2])
                             if j == 0:
                                 raise held
             checkpoint(ci + 1, *states)
     if held is not None:
         raise held
     return list(zip(max_l2, columns))
+
+
+def _blowup(label: str, norm: float, t: float) -> BlowUp:
+    return BlowUp(f"{label}: L2 norm {norm:.3e} at t = {t:.6g} exceeds "
+                  f"{BLOWUP_LIMIT:.0e}")
 
 
 def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
@@ -661,8 +667,9 @@ def _epsilon_member(p: ProblemSpec, grid: GridSpec, enforce_policy: bool,
             norms.append(_l2(u, grid))
         return u, norms
 
-    u0 = p.g.build(grid)
-    return u0, _l2(u0, grid), block, f"eps={p.eps:g}"
+    with np.errstate(over="ignore", invalid="ignore"):  # BlowUp at t = 0
+        u0 = p.g.build(grid)
+        return u0, _l2(u0, grid), block, f"eps={p.eps:g}"
 
 
 def solve_epsilon(p: ProblemSpec, grid: GridSpec, *,
@@ -748,16 +755,7 @@ def _homogenized_member(ceff: float | TrigField, f: SourceDescriptor,
     mesh = grid.mesh()
 
     def to_x(v):
-        # Each mode's `_sine_profile`, from the mesh made once and the
-        # folded index, added in order as `InitialDescriptor.build` adds
-        # them: one profile at a time, so the arrays it holds do not grow
-        # with the modes of g and f.  The profile is an unnamed temporary,
-        # which numpy scales in place on a large grid.
-        out = np.zeros(grid.shape)
-        for c, r in zip(v, modes):
-            out += c / unit * math.prod(np.sin(ri * math.pi * x)
-                                        for ri, x in zip(r, mesh))
-        return out
+        return _sine_sum(mesh, [(r, c / unit) for c, r in zip(v, modes)])
 
     return (v0, scale * math.hypot(*v0), block, "homogenized"), to_x
 

@@ -533,6 +533,11 @@ ONE_LINE_FAILURES = {
     "blow-up": ("solve", base_config(epsilon=0.125, potential={
         "d": 1, "modes": [{"m": [1], "n": -1, "re": 1e6}]}), (),
         cli.EXIT_RESOURCE, "resource violation: eps=0.125: L2 norm"),
+    # g's norm overflows before the first step; no numpy warning either.
+    "initial-overflow": ("solve", base_config(epsilon=0.125, problem={
+        "T": 0.125, "g": [{"amp": 1e308, "j": [1]}]}), (),
+        cli.EXIT_RESOURCE, "resource violation: eps=0.125: L2 norm inf at "
+        "t = 0 exceeds"),
     "verdict": ("sweep", base_config(
         sweep=dict(SWEEP_BLOCK, slope_tolerance=1e-9),
         grid={"checkpoints": 16}), (), cli.EXIT_VERDICT,
@@ -561,6 +566,14 @@ def test_each_failure_writes_one_line_to_stderr(tmp_path, case):
                               flags=flags)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(prefix), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_an_output_that_cannot_be_written_writes_one_line_to_stderr(tmp_path):
+    (tmp_path / "out" / "identities.json").mkdir(parents=True)
+    proc = run_cli_subprocess("verify", base_config(), tmp_path, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write "), proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 

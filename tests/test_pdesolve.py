@@ -22,13 +22,17 @@ from oscpot.pdesolve import (BLOCK_CELLS, CELL_UPDATE_CEILING,
                              _conjugate_pairs, _fold,
                              _homogenized_member, _march,
                              _OscillatedReaction, _dst, _reaction_shape,
-                             _sine_profile,
                              check_cost, check_resolution, pair_cost,
                              refinement_residual, solve_pair)
 
 DIAG = TrigField.from_cos(1, [1], -1)
 G1 = InitialDescriptor((InitialTerm(1.0, (1,)),))
 F0 = SourceDescriptor.zero()
+
+
+def _sine_profile(grid, j):
+    """prod_i sin(j_i pi x_i) on the grid: a one-term initial datum."""
+    return InitialDescriptor((InitialTerm(1.0, tuple(j)),)).build(grid)
 
 
 def l2_error_vs(traj, exact_fn):
@@ -717,6 +721,31 @@ def test_pair_errors_of_a_pure_tau_potential_have_a_closed_form(d, k, mode):
                                        atol=1e-10 * column.max())
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the pair's error is the largest checkpoint distance, "
+    "and at eps 1/24 every checkpoint sits on a zero of I(t)"))
+def test_pair_error_of_a_pure_tau_potential_is_its_every_step_maximum():
+    # The critical ladder's eps 1/24 point, on its policy grid: T/(96
+    # eps^2) = 3, so the checkpoints read 6e-15 of an error whose maximum
+    # over the steps, |expm1(I)| * l2_hom with l2_hom CN's heat flow of g,
+    # is 4.68e-3, on the first crest of I.
+    W = TrigField.from_cos(1, (0,), 1)
+    regime = resolve_regime(2.0, GammaMode.UNIT, W)
+    eps = 1 / 24
+    grid = policy_grid(eps, 2.0, 1.0, 0.5, 1, checkpoints=96)
+    assert (grid.nx, grid.total_steps) == (799, 18432)
+    p = ProblemSpec(W=W, eps=eps, regime=regime, f=F0, g=G1)
+    norms = solve_pair(p, 0.0, grid)
+    t = np.arange(grid.total_steps + 1) * grid.dt
+    phase = eps * np.sin(2 * math.pi * t / eps ** 2) / (2 * math.pi)
+    # CN's gain on sin(pi x), from the second-difference eigenvalue.
+    z = -2.0 * grid.dt / grid.h ** 2 * math.sin(math.pi * grid.h / 2) ** 2
+    l2_hom = norms.l2_hom[0] * ((1.0 + z) / (1.0 - z)) ** np.arange(len(t))
+    want = float(np.max(np.abs(np.expm1(phase)) * l2_hom))
+    assert want == pytest.approx(4.6846e-3, rel=1e-4)
+    assert norms.error == pytest.approx(want, rel=1e-10)
+
+
 # -- guards ----------------------------------------------------------------
 
 # -- block stepping ---------------------------------------------------------
@@ -1032,6 +1061,18 @@ def test_overflowing_decay_factor_is_a_homogenized_blowup():
     grid = GridSpec(1, 64, 1 / 1024, 0.125, checkpoints=8)
     with pytest.raises(BlowUp, match="^homogenized: L2 norm"):
         solve_homogenized(-1e12, F0, G1, grid)
+
+
+def test_an_initial_norm_past_the_limit_is_a_blowup_at_t_0():
+    # ||1e13 sin(pi x)|| = 7.07e12 is past BLOWUP_LIMIT before any step;
+    # the eps member, checked first, names it.
+    g = InitialDescriptor((InitialTerm(1e13, (1,)),))
+    regime = resolve_regime(2.0, GammaMode.UNIT, DIAG)
+    p = ProblemSpec(W=DIAG, eps=0.25, regime=regime, f=F0, g=g)
+    grid = GridSpec(1, 64, 1.0 / 512, 0.0625, checkpoints=8)
+    with pytest.raises(BlowUp, match=r"^eps=0.25: L2 norm 7.071e\+12 at "
+                                     r"t = 0 exceeds"):
+        solve_pair(p, effective_potential(regime, DIAG), grid)
 
 
 def test_pair_raises_the_eps_blowup_when_the_limit_blows_up_first():
